@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -121,6 +122,30 @@ def _parse_summary(tokens: list[str]) -> dict:
             raise CliError(f"--summary is missing {key}=<v>")
     out.setdefault("n", 1.0)
     return out
+
+
+def _reconcile(m_hat: float, regime: SignRegime, auto_flip: bool, caught: list[str]) -> SignRegime:
+    """reconcile_regime with its sign-contradiction warnings appended to
+    ``caught`` instead of reaching stderr as Python warnings."""
+    with warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always")
+        regime = reconcile_regime(m_hat, regime, auto_flip=auto_flip)
+    caught.extend(str(w.message) for w in wlist)
+    return regime
+
+
+def _print_warnings(messages: list[str]) -> None:
+    for w in messages:
+        print(f"warning: {w}", file=sys.stderr)
+
+
+def resolve_workers(requested: int, cpu_count: int | None) -> int:
+    """Worker processes for ``simulate``: below 1 is a usage error, and
+    more than the machine's CPUs is clamped to them (``os.cpu_count()``,
+    which may be None, counts as 1)."""
+    if requested < 1:
+        raise CliError(f"--workers must be at least 1, got {requested}")
+    return min(requested, cpu_count or 1)
 
 
 def _load_panel(args):
@@ -238,10 +263,7 @@ def _estimate_payload(args):
 
     pi = pi_bound.resolve(panel=panel)
     m_hat = did_estimand(panel, g)
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        regime = reconcile_regime(m_hat, regime, auto_flip=args.auto_flip_sign)
-    caught.extend(str(w.message) for w in wlist)
+    regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
     if args.epsilon is None:
         interval = identified_set_benchmark(m_hat, pi, regime)
     else:
@@ -273,8 +295,7 @@ def cmd_estimate(args) -> int:
     if args.format == "json":
         _emit_json(manifest, results)
         return EXIT_OK
-    for w in results.get("warnings", ()):
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(results["warnings"])
     if "strata" in results:
         print(f"g: {results['g']}   pi policy: per-stratum treatment ratio")
         for label, entry in results["strata"].items():
@@ -310,14 +331,11 @@ def _infer_payload(args):
     if args.summary:
         summ = _parse_summary(args.summary)
         pi_bound = _parse_pi(args.pi)
-        if pi_bound.kind != "constant":
+        if pi_bound == "stratum" or pi_bound.kind != "constant":
             raise CliError("summary mode needs --pi const:<v> (no panel to resolve from)")
         pi = pi_bound.value
         m_hat, se = summ["m"], summ["se"]
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            regime = reconcile_regime(m_hat, regime, auto_flip=args.auto_flip_sign)
-        caught.extend(str(w.message) for w in wlist)
+        regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
         interval, cs = summary_mode_infer(m_hat, se, pi, args.epsilon, regime, args.alpha)
         t_tilde = m_hat / se
         digest = {"summary": summ}
@@ -332,10 +350,7 @@ def _infer_payload(args):
             raise CliError("per-stratum inference is not supported; use estimate --pi stratum")
         pi = pi_bound.resolve(panel=panel)
         m_hat = did_estimand(panel, g)
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            regime = reconcile_regime(m_hat, regime, auto_flip=args.auto_flip_sign)
-        caught.extend(str(w.message) for w in wlist)
+        regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
         if args.epsilon is None:
             interval = identified_set_benchmark(m_hat, pi, regime)
         else:
@@ -386,8 +401,7 @@ def cmd_infer(args) -> int:
     if args.format == "json":
         _emit_json(manifest, results)
         return EXIT_OK
-    for w in results.get("warnings", ()):
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(results["warnings"])
     iv = results["interval"]
     cs = results["confidence_set"]
     print(f"m-hat: {_fmt(results['m_hat'])}   pi: {_fmt(results['pi'])}   signs: {results['regime']}")
@@ -433,7 +447,8 @@ def cmd_sensitivity(args) -> int:
         se = bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
         n = panel.n
         digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
-    regime = reconcile_regime(m_hat, regime, auto_flip=args.auto_flip_sign)
+    caught: list[str] = []
+    regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
     grid = [(pi, eps) for pi in pis for eps in eps_grid]
     rows = sensitivity_sweep(m_hat, se, n, grid, regime, args.alpha)
     cutoff = robustness_cutoff(rows)
@@ -460,9 +475,11 @@ def cmd_sensitivity(args) -> int:
                 for r in rows
             ],
             "robustness_cutoff_pi": cutoff,
+            "warnings": caught,
         }
         _emit_json(_manifest("sensitivity", config, digest, results.keys()), results)
         return EXIT_OK
+    _print_warnings(caught)
     print("pi,epsilon,set_l,set_u,cs_l,cs_u")
     for r in rows:
         eps = "" if r.epsilon is None else repr(r.epsilon)
@@ -591,7 +608,8 @@ def cmd_simulate(args) -> int:
     if scenario == "benchmark":
         lams = _parse_float_list(args.lambda_grid, "--lambda-grid")
         grid = [DgpConfig(lam=l, **base) for l in lams]
-        report = coverage_study(grid, args.pi, args.alpha, args.reps, workers=args.workers)
+        workers = resolve_workers(args.workers, os.cpu_count())
+        report = coverage_study(grid, args.pi, args.alpha, args.reps, workers=workers)
         results = report.to_dict()
         results["threshold"] = args.coverage_threshold
         if args.falsify:

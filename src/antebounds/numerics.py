@@ -1,9 +1,7 @@
 """Scalar normal CDF/quantile and bracketed monotone root solving.
 
-The standard-normal CDF is built from a rational Chebyshev approximation
-of the complementary error function (Cody-style coefficients), accurate
-to well below 1e-12 absolute error.  The quantile uses a rational initial
-guess refined by Halley steps against that CDF.  Root solving is plain
+The standard-normal CDF and quantile come from the standard library
+(``math.erfc`` and ``statistics.NormalDist``).  Root solving is plain
 bisection: every target this package solves for (critical values, quantile
 fixed points) is monotone but at best piecewise smooth, and bisection is
 robust and reproducible there.
@@ -13,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 __all__ = [
     "Bracket",
     "NoRootInBracketError",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
     "solve_monotone",
 ]
@@ -43,107 +41,12 @@ class Bracket:
             raise ValueError(f"bracket tolerance must be positive, got {self.tol}")
 
 
-# Rational Chebyshev coefficients for erf on |x| <= 0.46875 and erfc on
-# (0.46875, 4] and (4, inf); relative error below 2e-16 on each branch.
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERFC_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_ERFC_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
-_ERFC_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERFC_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-_ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _erfc_positive(y: float) -> float:
-    """erfc(y) for y > 0.46875 via the two tail branches."""
-    if y <= 4.0:
-        xnum = _ERFC_C[8] * y
-        xden = y
-        for i in range(7):
-            xnum = (xnum + _ERFC_C[i]) * y
-            xden = (xden + _ERFC_D[i]) * y
-        result = (xnum + _ERFC_C[7]) / (xden + _ERFC_D[7])
-    else:
-        ysq = 1.0 / (y * y)
-        xnum = _ERFC_P[5] * ysq
-        xden = ysq
-        for i in range(4):
-            xnum = (xnum + _ERFC_P[i]) * ysq
-            xden = (xden + _ERFC_Q[i]) * ysq
-        result = ysq * (xnum + _ERFC_P[4]) / (xden + _ERFC_Q[4])
-        result = (_ONE_OVER_SQRT_PI - result) / y
-    # exp(-y^2) split into an exactly representable part and a remainder
-    # to avoid cancellation in the tail.
-    ytrunc = math.floor(y * 16.0) / 16.0
-    delta = (y - ytrunc) * (y + ytrunc)
-    return math.exp(-ytrunc * ytrunc) * math.exp(-delta) * result
-
-
-def _erfc(x: float) -> float:
-    y = abs(x)
-    if y <= 0.46875:
-        ysq = y * y if y > 1.11e-16 else 0.0
-        xnum = _ERF_A[4] * ysq
-        xden = ysq
-        for i in range(3):
-            xnum = (xnum + _ERF_A[i]) * ysq
-            xden = (xden + _ERF_B[i]) * ysq
-        erf = x * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
-        return 1.0 - erf
-    if y > 26.6:  # erfc underflows past here
-        result = 0.0
-    else:
-        result = _erfc_positive(y)
-    return 2.0 - result if x < 0.0 else result
+_STD_NORMAL = NormalDist()
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, absolute error below 1e-12.
+    """Standard normal CDF, 0.5 * erfc(-x / sqrt 2).
 
     Parameters
     ----------
@@ -153,73 +56,11 @@ def std_normal_cdf(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"std_normal_cdf requires finite input, got {x}")
-    return 0.5 * _erfc(-x / _SQRT2)
-
-
-def std_normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    x = float(x)
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-# Rational initial guess for the normal quantile (Acklam's coefficients),
-# then Halley refinement against std_normal_cdf.
-_PPF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _quantile_guess(p: float) -> float:
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (
-        (((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5])
-        * q
-        / (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0)
-    )
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:
-    """Standard normal quantile; the CDF of the result matches p to 1e-10.
+    """Standard normal quantile (Wichura's AS241 via ``NormalDist.inv_cdf``).
 
     Parameters
     ----------
@@ -229,16 +70,7 @@ def std_normal_quantile(p: float) -> float:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"std_normal_quantile requires p in (0, 1), got {p}")
-    x = _quantile_guess(p)
-    for _ in range(2):
-        err = std_normal_cdf(x) - p
-        pdf = std_normal_pdf(x)
-        if pdf == 0.0:
-            break
-        u = err / pdf
-        # Halley step; reduces to Newton when the curvature term vanishes.
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def solve_monotone(f, bracket: Bracket) -> float:

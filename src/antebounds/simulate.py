@@ -16,6 +16,7 @@ assumptions do.
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -25,11 +26,16 @@ import numpy as np
 from .bounds import (
     SignRegime,
     did_estimand,
-    identified_set_benchmark,
+    endpoint_scale_factors,
     staggered_estimand,
 )
 from .cic import CicData
-from .inference import bound_variances, confidence_set
+from .inference import (
+    DegenerateVarianceError,
+    bound_variances,
+    contrast_moments,
+    critical_value_cn,
+)
 from .panel import CohortPanel, GTransform, TwoPeriodPanel
 
 __all__ = [
@@ -46,6 +52,7 @@ __all__ = [
     "generate_post_treatment",
     "generate_staggered",
     "generate_cic",
+    "coverage_replications",
     "coverage_study",
     "decomposition_check",
     "staggered_identity_check",
@@ -166,6 +173,17 @@ def _panel_from_arrays(cfg: DgpConfig, y0, y1, d) -> TwoPeriodPanel:
     return TwoPeriodPanel(unit_ids=ids, y0=y0, y1=y1, d=d.astype(int))
 
 
+def _draw_two_period(rng: np.random.Generator, cfg: DgpConfig):
+    """Benchmark DGP draws: (y0, y1, d, a) with a the anticipators."""
+    d = rng.random(cfg.n) < cfg.p_treat
+    a = d & (rng.random(cfg.n) < cfg.lam)
+    noise = _unit_noise(rng, cfg)
+    base = np.where(d, cfg.base_means[1], cfg.base_means[0])
+    y0 = base + noise[:, 0] + a * cfg.tau
+    y1 = base + cfg.trend + noise[:, 1] + d * cfg.mu
+    return y0, y1, d, a
+
+
 def generate_two_period(cfg: DgpConfig, return_truth: bool = False):
     """Benchmark DGP: perfect anticipation, treated anticipators only.
 
@@ -173,13 +191,7 @@ def generate_two_period(cfg: DgpConfig, return_truth: bool = False):
     anticipators shift the pre-period outcome by tau, which biases the DID
     contrast to mu - lam * tau.
     """
-    rng = _rng(cfg.seed)
-    d = rng.random(cfg.n) < cfg.p_treat
-    a = d & (rng.random(cfg.n) < cfg.lam)
-    noise = _unit_noise(rng, cfg)
-    base = np.where(d, cfg.base_means[1], cfg.base_means[0])
-    y0 = base + noise[:, 0] + a * cfg.tau
-    y1 = base + cfg.trend + noise[:, 1] + d * cfg.mu
+    y0, y1, d, a = _draw_two_period(_rng(cfg.seed), cfg)
     panel = _panel_from_arrays(cfg, y0, y1, d)
     if not return_truth:
         return panel
@@ -434,10 +446,11 @@ def generate_cic(cfg: CicDgpConfig) -> CicData:
 
 @dataclass(frozen=True)
 class GridPointResult:
-    """Per-grid-point coverage and average set lengths."""
+    """Per-grid-point coverage, its Monte Carlo SE, and average set lengths."""
 
     lam: float
     coverage: float
+    coverage_se: float
     mean_set_length: float
     mean_cs_length: float
     reps: int
@@ -472,20 +485,81 @@ class CoverageReport:
         }
 
 
-def _coverage_rep(args) -> tuple[float, float, float]:
-    cfg, pi, alpha, rep = args
-    panel = generate_two_period(replace(cfg, seed=derive_seed(cfg.seed, rep)))
-    g = GTransform.identity()
-    regime = cfg.regime()
-    m_hat = did_estimand(panel, g)
-    interval = identified_set_benchmark(m_hat, pi, regime)
-    vc = bound_variances(panel, g, pi, regime)
-    cs = confidence_set(interval.lower, interval.upper, vc, alpha)
-    return (
-        1.0 if cs.contains(cfg.mu) else 0.0,
-        interval.width,
-        cs.upper - cs.lower,
+# Replications per block of the coverage engine.  Blocks are keyed by
+# replication index, so results do not depend on how blocks are spread
+# over workers; the size only bounds the (block, n) buffers.
+REPLICATION_BLOCK = 32
+
+
+def _coverage_block(job) -> np.ndarray:
+    """(covered, interval width, CS length) for replications start..stop-1.
+
+    Each replication draws from its own derive_seed generator, exactly as
+    :func:`generate_two_period` would, and only its outcome changes and
+    treatment indicators are kept; moments, intervals and confidence sets
+    are then computed for the whole block at once.  C_n is solved per
+    replication.
+    """
+    cfg, pi, alpha, start, stop = job
+    dy = np.empty((stop - start, cfg.n))
+    d = np.empty((stop - start, cfg.n), dtype=bool)
+    for row, rep in enumerate(range(start, stop)):
+        y0, y1, d[row], _ = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg)
+        np.subtract(y1, y0, out=dy[row])
+    m_hat, var_m = contrast_moments(dy, d)
+    fa, fb = endpoint_scale_factors(pi, cfg.regime())
+    lower = np.minimum(m_hat * fa, m_hat * fb)
+    upper = np.maximum(m_hat * fa, m_hat * fb)
+    sigma = np.sqrt(var_m) * max(abs(fa), abs(fb))
+    if not (sigma > 0.0).all():
+        raise DegenerateVarianceError(
+            "zero variance for both interval endpoints; outcomes are degenerate"
+        )
+    width = upper - lower
+    c_n = np.array(
+        [critical_value_cn(w, s, cfg.n, alpha) for w, s in zip(width.tolist(), sigma.tolist())]
     )
+    ext = c_n * (sigma / math.sqrt(cfg.n))
+    cs_lower, cs_upper = lower - ext, upper + ext
+    covered = (cs_lower <= cfg.mu) & (cfg.mu <= cs_upper)
+    return np.column_stack((covered, width, cs_upper - cs_lower))
+
+
+def coverage_replications(
+    cfg_grid: Sequence[DgpConfig],
+    pi_for_estimator: float,
+    alpha: float,
+    reps: int,
+    workers: int = 1,
+) -> list[np.ndarray]:
+    """Per-replication (covered, interval width, CS length), one (reps, 3)
+    array per grid point.
+
+    Replications run in blocks of REPLICATION_BLOCK; with workers > 1 one
+    process pool serves every (grid point, block) job and results are
+    reassembled in job order, so the arrays are identical for any worker
+    count.  Pool workers are spawned, not forked, so a script calling this
+    with workers > 1 needs an ``if __name__ == "__main__":`` guard.
+    """
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    starts = range(0, reps, REPLICATION_BLOCK)
+    jobs = [
+        (cfg, pi_for_estimator, alpha, start, min(start + REPLICATION_BLOCK, reps))
+        for cfg in cfg_grid
+        for start in starts
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            blocks = list(
+                pool.map(_coverage_block, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+            )
+    else:
+        blocks = [_coverage_block(job) for job in jobs]
+    k = len(starts)
+    return [np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)]
 
 
 def coverage_study(
@@ -497,14 +571,12 @@ def coverage_study(
 ) -> CoverageReport:
     """Empirical coverage of the confidence set across a DGP grid.
 
-    Each replication draws a fresh benchmark panel, runs the full
-    estimate -> interval -> variance -> confidence-set pipeline, and
-    records whether the true effect landed inside.  Configs violating the
-    assumptions are rejected unless explicitly tagged as falsification
-    runs, whose points are flagged in the report.
+    Each replication draws a fresh benchmark panel, runs the estimate ->
+    interval -> variance -> confidence-set pipeline, and records whether
+    the true effect landed inside (see :func:`coverage_replications`).
+    Configs violating the assumptions are rejected unless explicitly
+    tagged as falsification runs, whose points are flagged in the report.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
     for cfg in cfg_grid:
         if not cfg.satisfies_assumptions(pi_for_estimator) and not cfg.falsification:
             raise ValueError(
@@ -512,19 +584,15 @@ def coverage_study(
                 f"the assumptions for pi={pi_for_estimator}; tag it falsification "
                 "if that is intentional"
             )
+    tables = coverage_replications(cfg_grid, pi_for_estimator, alpha, reps, workers)
     points = []
-    for cfg in cfg_grid:
-        jobs = [(cfg, pi_for_estimator, alpha, rep) for rep in range(reps)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_coverage_rep, jobs, chunksize=max(1, reps // (4 * workers))))
-        else:
-            results = [_coverage_rep(job) for job in jobs]
-        arr = np.asarray(results)
+    for cfg, arr in zip(cfg_grid, tables):
+        coverage = float(arr[:, 0].mean())
         points.append(
             GridPointResult(
                 lam=cfg.lam,
-                coverage=float(arr[:, 0].mean()),
+                coverage=coverage,
+                coverage_se=math.sqrt(coverage * (1.0 - coverage) / reps),
                 mean_set_length=float(arr[:, 1].mean()),
                 mean_cs_length=float(arr[:, 2].mean()),
                 reps=reps,

@@ -2,11 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from antebounds.cli import main
+from antebounds.cli import CliError, main, resolve_workers
 
 HAND_WIDE = "unit_id,y0,y1,d\na,1.0,3.0,1\nb,1.0,3.0,1\nc,0.0,1.0,0\ne,0.0,1.0,0\n"
 
@@ -200,6 +201,15 @@ class TestInfer:
         assert code == 2
         assert "const" in err
 
+    def test_summary_with_stratum_pi_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "infer", "--summary", "m=0.5", "se=0.1", "--pi", "stratum",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSensitivity:
     def test_figure_reproduction(self, capsys):
@@ -251,6 +261,31 @@ class TestSensitivity:
         row_e = json.loads(out_eps)["results"]["rows"][0]
         assert row_e["set_l"] == pytest.approx(row_p["set_l"], abs=1e-12)
         assert row_e["cs_l"] == pytest.approx(row_p["cs_l"], abs=1e-9)
+
+
+    SIGN_CONTRADICTION = [
+        "sensitivity", "--summary", "m=-0.013", "se=0.0046", "--sign-mu", "pos",
+        "--sign-tau", "neg", "--pi-grid", "0,0.5",
+    ]
+
+    def test_sign_warning_in_json(self, capsys):
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, self.SIGN_CONTRADICTION + ["--format", "json"])
+        assert code == 0
+        assert raised == [] and err == ""
+        caught = json.loads(out)["results"]["warnings"]
+        assert len(caught) == 1 and "contradicts" in caught[0]
+
+    def test_sign_warning_in_text(self, capsys):
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, self.SIGN_CONTRADICTION)
+        assert code == 0
+        assert raised == []
+        assert err.startswith("warning: ") and "contradicts" in err
+        assert "UserWarning" not in err
+        assert out.startswith("pi,epsilon,set_l,set_u,cs_l,cs_u")
 
 
 class TestCic:
@@ -388,6 +423,39 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenario", "warp"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run(capsys, [
+            "simulate", "--scenario", "benchmark", "--n", "50", "--reps", "5",
+            "--workers", workers,
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --workers")
+
+    def test_group_too_small_exit_2(self, capsys):
+        # n = 4 leaves some replication with fewer than two units in a group
+        code, out, err = run(capsys, [
+            "simulate", "--scenario", "benchmark", "--n", "4", "--reps", "40",
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("error: insufficient group size")
+
+
+class TestResolveWorkers:
+    def test_clamped_to_cpu_count(self):
+        assert resolve_workers(10**9, 2) == 2
+        assert resolve_workers(2**63, 64) == 64
+        assert resolve_workers(3, 64) == 3
+        assert resolve_workers(1, 1) == 1
+
+    def test_unknown_cpu_count_means_one(self):
+        assert resolve_workers(10**6, None) == 1
+
+    @pytest.mark.parametrize("requested", [0, -1, -(10**9)])
+    def test_below_one_rejected(self, requested):
+        with pytest.raises(CliError, match="--workers"):
+            resolve_workers(requested, 8)
 
 
 class TestPanelModeExtras:

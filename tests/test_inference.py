@@ -13,6 +13,7 @@ from antebounds.inference import (
     DegenerateVarianceError,
     VarianceComponents,
     bound_variances,
+    contrast_moments,
     confidence_set,
     critical_value_cn,
     robust_null_check,
@@ -22,7 +23,7 @@ from antebounds.inference import (
 from antebounds.numerics import std_normal_cdf, std_normal_quantile
 from antebounds.panel import GTransform, group_stats
 
-from test_panel import make_panel
+from test_panel import make_panel, random_panel
 
 OPP = SignRegime(1, -1)
 SAME = SignRegime(1, 1)
@@ -136,6 +137,36 @@ class TestBoundVariances:
         panel = make_panel([0, 0, 0, 0], [1, 3, 0, 2], [1, 1, 0, 0])
         with pytest.raises(ValueError, match="pi < 1"):
             bound_variances(panel, GTransform.identity(), 1.0, SAME)
+
+
+class TestContrastMoments:
+    def test_matches_group_moment_formula(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            panel = random_panel(rng, n=int(rng.integers(6, 300)))
+            gs = group_stats(panel, GTransform.identity())
+            var_ref = (gs.sigma2[1, 1] + gs.sigma2[1, 0] - 2 * gs.cov[1]) / gs.p_hat + (
+                gs.sigma2[0, 1] + gs.sigma2[0, 0] - 2 * gs.cov[0]
+            ) / (1 - gs.p_hat)
+            m, var_m = contrast_moments(panel.y1 - panel.y0, panel.d == 1)
+            assert m == pytest.approx(gs.diff_in_diff(), rel=1e-12, abs=1e-14)
+            assert var_m == pytest.approx(var_ref, rel=1e-12)
+
+    def test_rows_are_independent_samples(self):
+        rng = np.random.default_rng(42)
+        dy = rng.normal(size=(7, 90))
+        d = rng.random((7, 90)) < 0.4
+        m, var_m = contrast_moments(dy, d)
+        assert m.shape == var_m.shape == (7,)
+        for row in range(7):
+            m_row, var_row = contrast_moments(dy[row], d[row])
+            assert m_row == m[row] and var_row == var_m[row]
+
+    def test_any_small_group_rejected(self):
+        dy = np.zeros((3, 6))
+        d = np.array([[1, 1, 1, 0, 0, 0]] * 2 + [[1, 0, 0, 0, 0, 0]], dtype=bool)
+        with pytest.raises(ValueError, match="group d=1 has 1 unit"):
+            contrast_moments(dy, d)
 
 
 class TestConfidenceSet:

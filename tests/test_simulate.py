@@ -6,12 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from antebounds.bounds import did_estimand, staggered_estimand
+from antebounds.bounds import did_estimand, identified_set_benchmark, staggered_estimand
 from antebounds.cic import counterfactual_quantile
+from antebounds.inference import bound_variances, confidence_set
 from antebounds.panel import GTransform
 from antebounds.simulate import (
+    REPLICATION_BLOCK,
     CicDgpConfig,
     DgpConfig,
+    coverage_replications,
     coverage_study,
     decomposition_check,
     derive_seed,
@@ -239,10 +242,12 @@ class TestCoverageEngine:
         assert report.points[0].coverage == pytest.approx(0.95, abs=0.015)
 
     def test_deterministic_across_worker_counts(self):
-        grid = [DgpConfig(n=120, mu=0.5, tau=-0.4, lam=0.2, seed=55)]
+        # two grid points share one pool; jobs come back in (point, block) order
+        grid = [DgpConfig(n=120, mu=0.5, tau=-0.4, lam=lam, seed=55) for lam in (0.0, 0.2)]
         serial = coverage_study(grid, 0.3, 0.95, reps=40, workers=1)
         parallel = coverage_study(grid, 0.3, 0.95, reps=40, workers=2)
         assert serial.to_dict() == parallel.to_dict()
+        assert serial.points[0] != serial.points[1]
 
     def test_min_coverage_stable_when_pi_widens(self):
         # not a pointwise nesting claim: C_n adapts to the wider interval,
@@ -262,6 +267,77 @@ class TestCoverageEngine:
         d = report.to_dict()
         assert set(d) == {"pi", "alpha", "reps", "master_seeds", "points", "min_coverage"}
         assert d["points"][0]["reps"] == 10
+
+    def test_coverage_se_is_binomial(self):
+        grid = [DgpConfig(n=150, mu=0.5, tau=-0.4, lam=lam, seed=56) for lam in (0.0, 0.3)]
+        report = coverage_study(grid, 0.3, 0.95, reps=70)
+        for point in report.to_dict()["points"]:
+            c = point["coverage"]
+            assert point["coverage_se"] == math.sqrt(c * (1.0 - c) / 70)
+        assert report.points[0].coverage_se > 0.0
+
+
+def _per_replication_oracle(cfg, pi, alpha, reps):
+    """The pipeline one replication at a time: panel, DID contrast,
+    interval, endpoint variances and confidence set."""
+    regime = cfg.regime()
+    rows = []
+    for rep in range(reps):
+        panel = generate_two_period(replace(cfg, seed=derive_seed(cfg.seed, rep)))
+        m_hat = did_estimand(panel, IDY)
+        interval = identified_set_benchmark(m_hat, pi, regime)
+        vc = bound_variances(panel, IDY, pi, regime)
+        cs = confidence_set(interval.lower, interval.upper, vc, alpha)
+        rows.append((float(cs.contains(cfg.mu)), interval.width, cs.upper - cs.lower))
+    return np.array(rows)
+
+
+B = REPLICATION_BLOCK
+
+
+class TestBlockEngine:
+    def _agree(self, cfg, pi, reps, alpha=0.95):
+        (engine,) = coverage_replications([cfg], pi, alpha, reps)
+        oracle = _per_replication_oracle(cfg, pi, alpha, reps)
+        assert engine.shape == oracle.shape == (reps, 3)
+        assert np.array_equal(engine[:, 0], oracle[:, 0])
+        np.testing.assert_allclose(engine[:, 1:], oracle[:, 1:], rtol=1e-12, atol=0.0)
+        return engine
+
+    @pytest.mark.parametrize("reps", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_block_boundaries(self, reps):
+        self._agree(DgpConfig(n=200, mu=0.2, tau=-0.2, lam=0.3, seed=61), 0.4, reps)
+
+    @pytest.mark.parametrize("mu,tau", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, 0.0)])
+    def test_sign_regimes(self, mu, tau):
+        self._agree(DgpConfig(n=200, mu=mu, tau=tau, lam=0.3, seed=62), 0.4, B + 1)
+
+    def test_student_t_noise(self):
+        cfg = DgpConfig(n=200, mu=0.2, tau=-0.2, lam=0.2, noise_dist="student_t",
+                        noise_df=4.0, seed=63)
+        self._agree(cfg, 0.4, B + 1)
+
+    def test_falsification_point(self):
+        cfg = DgpConfig(n=200, mu=0.2, tau=-0.4, lam=0.8, seed=64, falsification=True)
+        engine = self._agree(cfg, 0.2, B + 1)
+        report = coverage_study([cfg], 0.2, 0.95, reps=B + 1)
+        assert report.points[0].falsification
+        assert report.points[0].coverage == engine[:, 0].mean()
+
+    def test_group_too_small_raises(self):
+        cfg = DgpConfig(n=4, mu=0.2, tau=-0.2, lam=0.2, seed=65)
+        with pytest.raises(ValueError):
+            _per_replication_oracle(cfg, 0.4, 0.95, B)
+        with pytest.raises(ValueError, match="insufficient group size"):
+            coverage_replications([cfg], 0.4, 0.95, B)
+
+    def test_rows_keyed_by_replication_index(self):
+        # a replication's row depends on its index only, not on the grid
+        # around it or on where the last block ends
+        grid = [DgpConfig(n=100, mu=0.2, tau=-0.2, lam=lam, seed=66) for lam in (0.0, 0.4)]
+        full = coverage_replications(grid, 0.4, 0.95, 2 * B + 3)
+        alone = coverage_replications(grid[1:], 0.4, 0.95, B + 1)
+        assert np.array_equal(alone[0], full[1][: B + 1])
 
 
 class TestCicDgp:

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .panel import CohortPanel, GTransform, TwoPeriodPanel, group_stats, treatment_ratio
+from .panel import CohortPanel, GTransform, TwoPeriodPanel, treatment_ratio
 
 __all__ = [
     "SignRegime",
@@ -193,8 +193,17 @@ def _check_pi(pi: float, where: str = "pi") -> None:
 
 
 def did_estimand(panel: TwoPeriodPanel, g: GTransform) -> float:
-    """Difference of group mean changes, (d11-d10) - (d01-d00)."""
-    return group_stats(panel, g).diff_in_diff()
+    """Difference of group mean changes, (d11-d10) - (d01-d00).
+
+    Needs one unit per group, not the two that variances need; the
+    arithmetic is that of :meth:`GroupStats.diff_in_diff`, bit for bit.
+    """
+    g0, g1 = g.apply(panel.y0), g.apply(panel.y1)
+    treated = panel.d == 1
+    control = ~treated
+    return float(
+        (g1[treated].mean() - g0[treated].mean()) - (g1[control].mean() - g0[control].mean())
+    )
 
 
 def endpoint_scale_factors(

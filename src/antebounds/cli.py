@@ -6,8 +6,9 @@ digest, tool version, master seed where applicable); JSON output is
 deterministic, so equal manifests and inputs produce byte-identical
 bytes.  Exit codes: 0 success, 1 a tagged acceptance threshold failed
 (simulate only), 2 usage or validation error, 3 internal numerical
-failure.  Human-readable numbers are rounded for display; JSON carries
-full precision.
+failure or any other internal error (one line, no traceback).
+Human-readable numbers are rounded for display; JSON carries full
+precision.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def _parse_summary(tokens: list[str]) -> dict:
             out[key] = float(raw)
         except ValueError:
             raise CliError(f"--summary {key} is not a number: {raw!r}") from None
+        if not math.isfinite(out[key]):
+            raise CliError(f"--summary {key} must be finite, got {raw!r}")
     for key in ("m", "se"):
         if key not in out:
             raise CliError(f"--summary is missing {key}=<v>")
@@ -357,8 +360,7 @@ def _infer_payload(args):
             interval = identified_set_imperfect(m_hat, pi, args.epsilon, regime)
         vc = bound_variances(panel, g, pi, regime, epsilon=args.epsilon)
         cs = confidence_set(interval.lower, interval.upper, vc, args.alpha)
-        se_m = bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
-        t_tilde = m_hat / se_m
+        t_tilde = m_hat / vc.se_m
         digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
         sigma_note = {"sigma_l": vc.sigma_l, "sigma_u": vc.sigma_u, "se": vc.se}
     verdict = None
@@ -695,6 +697,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (NoRootInBracketError, DegenerateVarianceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:
+        # a defect, not a verdict: exit 1 stays reserved for thresholds
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

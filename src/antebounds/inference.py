@@ -60,12 +60,14 @@ class VarianceComponents:
 
     ``sigma`` is the max of the two; the confidence set uses it for both
     sides.  The endpoint correlation is 1 by the proportional construction
-    and is not stored.
+    and is not stored.  ``sigma_m``, when known, is the standard deviation
+    of the scaled DID contrast that both endpoints rescale.
     """
 
     sigma_l: float
     sigma_u: float
     n: int
+    sigma_m: float | None = None
 
     def __post_init__(self) -> None:
         if self.sigma_l < 0 or self.sigma_u < 0:
@@ -85,6 +87,13 @@ class VarianceComponents:
     def se(self) -> float:
         """sigma / sqrt(n), the extension-length scale."""
         return self.sigma / math.sqrt(self.n)
+
+    @property
+    def se_m(self) -> float:
+        """sigma_m / sqrt(n), the standard error of the DID contrast."""
+        if self.sigma_m is None:
+            raise ValueError("these components carry no contrast standard deviation")
+        return self.sigma_m / math.sqrt(self.n)
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,7 @@ def bound_variances(
         sigma_l, sigma_u = sd_a, sd_b
     else:
         sigma_l, sigma_u = sd_b, sd_a
-    return VarianceComponents(sigma_l=sigma_l, sigma_u=sigma_u, n=panel.n)
+    return VarianceComponents(sigma_l=sigma_l, sigma_u=sigma_u, n=panel.n, sigma_m=sigma_m)
 
 
 def critical_value_cn(delta_hat: float, sigma: float, n: int, alpha: float) -> float:

@@ -12,6 +12,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, count, filterfalse, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,11 +303,23 @@ def _parse_d(raw: str, row_num: int) -> int:
     return int(raw)
 
 
+def _parse_t(raw: str, row_num: int) -> int:
+    if raw not in ("0", "1"):
+        raise PanelFormatError(
+            f"period must be 0 or 1, got {raw!r}", row=row_num, field="t"
+        )
+    return int(raw)
+
+
 def _open_reader(source) -> csv.DictReader:
     if isinstance(source, (str, bytes)):
         source = io.StringIO(source if isinstance(source, str) else source.decode())
     reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    try:
+        fieldnames = reader.fieldnames
+    except csv.Error as exc:
+        raise PanelFormatError(f"unreadable CSV row: {exc}", row=1) from None
+    if fieldnames is None:
         raise PanelFormatError("empty input: no header row")
     return reader
 
@@ -323,6 +337,10 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
     Wide layout: header ``unit_id,y0,y1,d[,stratum]``, one row per unit.
     Long layout: header ``unit_id,t,y,d[,stratum]`` with t in {0,1}, exactly
     one row per (unit, period), and d constant within unit.
+
+    The file is read CHUNK_ROWS rows at a time and parsed column by column;
+    the first fault in row order is reported, with its row number counting
+    the header as row 1 and skipping blank lines.
     """
     if layout not in ("wide", "long"):
         raise ValueError(f"layout must be 'wide' or 'long', got {layout!r}")
@@ -332,83 +350,227 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
     return _load_long(reader)
 
 
+# Rows parsed per chunk: large enough that per-chunk numpy calls cost
+# little, small enough that the chunk's row lists and strings stay a few
+# MiB whatever the file size.
+CHUNK_ROWS = 32768
+
+_BINARY = frozenset(("0", "1"))
+
+
+def _column_chunks(reader: csv.DictReader, names: Sequence[str]):
+    """Yield ``(row number of the first row, columns)`` for the named
+    columns, CHUNK_ROWS csv rows at a time.
+
+    Matches csv.DictReader: blank rows are skipped and not numbered, a
+    repeated header name reads its last column, and a field beyond the end
+    of a short row reads as None.
+    """
+    where = {name: j for j, name in enumerate(reader.fieldnames)}
+    index = [where[name] for name in names]
+    rows_in = reader.reader
+    row_num = 2
+    while True:
+        rows: list = []
+        fault = None
+        try:
+            # extend keeps the rows read before a failing one
+            rows.extend(islice(rows_in, CHUNK_ROWS))
+        except csv.Error as exc:
+            fault = exc
+        if not rows and fault is None:
+            return
+        if not all(rows):
+            rows = list(filter(None, rows))
+        if rows:
+            yield row_num, _transpose(rows, index)
+            row_num += len(rows)
+        if fault is not None:
+            # raised after the rows before it are checked, so that a fault
+            # in an earlier row is the one reported
+            raise PanelFormatError(f"unreadable CSV row: {fault}", row=row_num)
+
+
+def _transpose(rows: list, index: Sequence[int]) -> list:
+    widths = set(map(len, rows))
+    if len(widths) == 1:
+        (width,) = widths
+        flat = list(chain.from_iterable(rows))
+        return [flat[j::width] if j < width else [None] * len(rows) for j in index]
+    return [[r[j] if j < len(r) else None for r in rows] for j in index]
+
+
+def _floats(column: list) -> np.ndarray:
+    return np.fromiter(map(float, column), dtype=float, count=len(column))
+
+
+def _binary(column: list) -> np.ndarray:
+    """0/1 values of a column already checked to hold only "0" and "1"."""
+    return np.frombuffer("".join(column).encode(), dtype=np.uint8) - ord("0")
+
+
+def _first_bad_row(
+    row_num: int, columns: Sequence[list], parsers
+) -> tuple[int, PanelFormatError]:
+    """Offset in the chunk and error of the first row that one of the
+    row parsers rejects, trying each row's fields in column order."""
+    for k, values in enumerate(zip(*columns)):
+        try:
+            for parse, raw in zip(parsers, values):
+                parse(raw, row_num + k)
+        except PanelFormatError as err:
+            return k, err
+    raise RuntimeError("a column check failed on a chunk whose rows all parse")
+
+
 def _load_wide(reader: csv.DictReader) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "y0", "y1", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
+    names = ("unit_id", "y0", "y1", "d") + (("stratum",) if has_stratum else ())
+    parsers = (partial(_parse_float, field="y0"), partial(_parse_float, field="y1"), _parse_d)
     ids, y0s, y1s, ds, strata = [], [], [], [], []
-    for row_num, row in enumerate(reader, start=2):
-        ids.append(row["unit_id"])
-        y0s.append(_parse_float(row["y0"], row_num, "y0"))
-        y1s.append(_parse_float(row["y1"], row_num, "y1"))
-        ds.append(_parse_d(row["d"], row_num))
+    for row_num, (uid, y0, y1, d, *stratum) in _column_chunks(reader, names):
+        try:
+            a0, a1 = _floats(y0), _floats(y1)
+            ok = np.isfinite(a0).all() and np.isfinite(a1).all() and _BINARY.issuperset(d)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise _first_bad_row(row_num, (y0, y1, d), parsers)[1]
+        ids += uid
+        y0s.append(a0)
+        y1s.append(a1)
+        ds.append(_binary(d))
         if has_stratum:
-            strata.append(row["stratum"])
+            strata += stratum[0]
     if not ids:
         raise PanelFormatError("no data rows")
     return TwoPeriodPanel(
         unit_ids=tuple(ids),
-        y0=np.array(y0s),
-        y1=np.array(y1s),
-        d=np.array(ds),
+        y0=np.concatenate(y0s),
+        y1=np.concatenate(y1s),
+        d=np.concatenate(ds),
         strata=tuple(strata) if has_stratum else None,
     )
+
+
+def _codes(table: dict, keys: list) -> np.ndarray:
+    """Index of each key in ``table``, adding unseen keys in first-appearance
+    order."""
+    table.update(zip(dict.fromkeys(filterfalse(table.__contains__, keys)), count(len(table))))
+    return np.fromiter(map(table.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+def _grow(a: np.ndarray, n: int) -> np.ndarray:
+    if len(a) >= n:
+        return a
+    out = np.zeros((max(n, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+class _LongUnits:
+    """Units of a long-layout file, indexed by first appearance: the two
+    outcome slots, which slots are filled, and each unit's treatment and
+    stratum as set by its first row."""
+
+    def __init__(self, has_stratum: bool):
+        self.has_stratum = has_stratum
+        self.pos: dict = {}
+        self.labels: dict = {}
+        self.y = np.zeros((0, 2))
+        self.seen = np.zeros((0, 2), dtype=bool)
+        self.d = np.zeros(0, dtype=np.uint8)
+        self.stratum = np.zeros(0, dtype=np.intp)
+
+    def pair(self, row_num: int, uid: list, t: list, d: list, stratum: list | None = None):
+        """Unit index and period of each row of a chunk whose t and d are
+        valid; raises for the first row that repeats a (unit, period) or
+        changes its unit's treatment or stratum."""
+        n_before = len(self.pos)
+        code = _codes(self.pos, uid)
+        n = len(self.pos)
+        self.y, self.seen = _grow(self.y, n), _grow(self.seen, n)
+        self.d, self.stratum = _grow(self.d, n), _grow(self.stratum, n)
+        tt, dd = _binary(t), _binary(d)
+        ss = None if stratum is None else _codes(self.labels, stratum)
+        _, first = np.unique(code, return_index=True)
+        first = first[code[first] >= n_before]
+        self.d[n_before:n] = dd[first]
+        if ss is not None:
+            self.stratum[n_before:n] = ss[first]
+        # a repeat is a (unit, period) filled by an earlier chunk or by an
+        # earlier row of this one
+        dup = np.ones(len(code), dtype=bool)
+        dup[np.unique(2 * code + tt, return_index=True)[1]] = False
+        dup |= self.seen[code, tt]
+        d_bad = dd != self.d[code]
+        s_bad = ss != self.stratum[code] if ss is not None else np.zeros_like(dup)
+        bad = dup | d_bad | s_bad
+        if bad.any():
+            k = int(bad.argmax())
+            row, unit = row_num + k, uid[k]
+            if dup[k]:
+                raise PanelFormatError(
+                    f"duplicate (unit, period) for unit {unit!r} at t={int(tt[k])}", row=row
+                )
+            if d_bad[k]:
+                raise PanelFormatError(
+                    f"treatment not constant within unit {unit!r}", row=row, field="d"
+                )
+            raise PanelFormatError(
+                f"stratum not constant within unit {unit!r}", row=row, field="stratum"
+            )
+        self.seen[code, tt] = True
+        return code, tt
+
+    def panel(self) -> TwoPeriodPanel:
+        n = len(self.pos)
+        if n == 0:
+            raise PanelFormatError("no data rows")
+        ids = tuple(self.pos)
+        complete = self.seen[:n].all(axis=1)
+        if not complete.all():
+            i = int(complete.argmin())
+            have = [t for t in (0, 1) if self.seen[i, t]]
+            raise PanelFormatError(
+                f"missing period for unit {ids[i]!r}: have t={have}, need both 0 and 1"
+            )
+        strata = None
+        if self.has_stratum:
+            labels = list(self.labels)
+            strata = tuple(map(labels.__getitem__, self.stratum[:n].tolist()))
+        return TwoPeriodPanel(
+            unit_ids=ids,
+            y0=self.y[:n, 0].copy(),
+            y1=self.y[:n, 1].copy(),
+            d=self.d[:n],
+            strata=strata,
+        )
 
 
 def _load_long(reader: csv.DictReader) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "t", "y", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
-    records: dict = {}
-    order: list = []
-    for row_num, row in enumerate(reader, start=2):
-        uid = row["unit_id"]
-        t_raw = row["t"]
-        if t_raw not in ("0", "1"):
-            raise PanelFormatError(
-                f"period must be 0 or 1, got {t_raw!r}", row=row_num, field="t"
-            )
-        t = int(t_raw)
-        y = _parse_float(row["y"], row_num, "y")
-        d = _parse_d(row["d"], row_num)
-        stratum = row["stratum"] if has_stratum else None
-        if uid not in records:
-            records[uid] = {"y": {}, "d": d, "stratum": stratum}
-            order.append(uid)
-        rec = records[uid]
-        if t in rec["y"]:
-            raise PanelFormatError(
-                f"duplicate (unit, period) for unit {uid!r} at t={t}", row=row_num
-            )
-        if rec["d"] != d:
-            raise PanelFormatError(
-                f"treatment not constant within unit {uid!r}", row=row_num, field="d"
-            )
-        if has_stratum and rec["stratum"] != stratum:
-            raise PanelFormatError(
-                f"stratum not constant within unit {uid!r}", row=row_num, field="stratum"
-            )
-        rec["y"][t] = y
-    if not order:
-        raise PanelFormatError("no data rows")
-    ids, y0s, y1s, ds, strata = [], [], [], [], []
-    for uid in order:
-        rec = records[uid]
-        if set(rec["y"]) != {0, 1}:
-            have = sorted(rec["y"])
-            raise PanelFormatError(
-                f"missing period for unit {uid!r}: have t={have}, need both 0 and 1"
-            )
-        ids.append(uid)
-        y0s.append(rec["y"][0])
-        y1s.append(rec["y"][1])
-        ds.append(rec["d"])
-        strata.append(rec["stratum"])
-    return TwoPeriodPanel(
-        unit_ids=tuple(ids),
-        y0=np.array(y0s),
-        y1=np.array(y1s),
-        d=np.array(ds),
-        strata=tuple(strata) if has_stratum else None,
-    )
+    names = ("unit_id", "t", "y", "d") + (("stratum",) if has_stratum else ())
+    parsers = (_parse_t, partial(_parse_float, field="y"), _parse_d)
+    units = _LongUnits(has_stratum)
+    for row_num, (uid, t, y, d, *stratum) in _column_chunks(reader, names):
+        keys = (uid, t, d, *stratum)
+        try:
+            ys = _floats(y)
+            ok = _BINARY.issuperset(t) and np.isfinite(ys).all() and _BINARY.issuperset(d)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            # rows before the first unparsable one may hold an earlier fault
+            k, err = _first_bad_row(row_num, (t, y, d), parsers)
+            if k:
+                units.pair(row_num, *(column[:k] for column in keys))
+            raise err
+        code, tt = units.pair(row_num, *keys)
+        units.y[code, tt] = ys
+    return units.panel()
 
 
 def load_cohort(source) -> CohortPanel:

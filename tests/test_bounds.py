@@ -68,6 +68,17 @@ class TestDidEstimand:
         oracle = (freq(y1, t) - freq(y0, t)) - (freq(y1, c) - freq(y0, c))
         assert m == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("g", [GTransform.identity(), GTransform.indicator(0.1)])
+    def test_bits_equal_group_stats_contrast(self, g):
+        from antebounds.panel import group_stats
+
+        panel = make_panel(*np.random.default_rng(4).normal(size=(2, 97)), [1, 0] * 48 + [1])
+        assert did_estimand(panel, g) == group_stats(panel, g).diff_in_diff()
+
+    def test_one_unit_per_group(self):
+        panel = make_panel([1, 0, 2], [4, 1, 3], [1, 0, 0])
+        assert did_estimand(panel, GTransform.identity()) == 2.0
+
 
 class TestBenchmarkSet:
     def test_table_reading_row(self):

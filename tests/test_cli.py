@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from antebounds import cli
 from antebounds.cli import CliError, main, resolve_workers
 
 HAND_WIDE = "unit_id,y0,y1,d\na,1.0,3.0,1\nb,1.0,3.0,1\nc,0.0,1.0,0\ne,0.0,1.0,0\n"
@@ -494,3 +495,79 @@ class TestPanelModeExtras:
         assert [r["pi"] for r in rows] == [0.1, 0.3, 0.5]
         lowers = [r["set_l"] for r in rows]
         assert lowers[0] > lowers[1] > lowers[2]
+
+
+class TestExitContract:
+    def test_oversized_field_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("unit_id,y0,y1,d\na,1,2,1\nb," + "9" * 200_000 + ",1,0\nc,0,1,0\n")
+        code, out, err = run(capsys, ["infer", "--input", str(path), "--pi", "const:0.3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: unreadable CSV row: field larger than field limit")
+        assert "(row: 3)" in err and err.count("\n") == 1
+
+    def test_unexpected_exception_exits_3_without_traceback(self, capsys, monkeypatch, hand_csv):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setitem(cli._HANDLERS, "estimate", broken)
+        code, out, err = run(capsys, ["estimate", "--input", hand_csv])
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["infer", "sensitivity"])
+    @pytest.mark.parametrize("bad", ["se=inf", "m=inf", "m=-inf", "se=nan", "m=nan"])
+    def test_non_finite_summary_is_usage_error(self, capsys, command, bad):
+        good = {"m": "m=1", "se": "se=0.2"}
+        good[bad.split("=")[0]] = bad
+        argv = [command, "--summary", good["m"], good["se"], "--pi", "const:0.3",
+                "--format", "json"]
+        if command == "sensitivity":
+            argv += ["--pi-grid", "0.1,0.2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert "Infinity" not in out and "NaN" not in out
+        assert err == f"error: --summary {bad.split('=')[0]} must be finite, got {bad.split('=')[1]!r}\n"
+
+
+class TestSingleTreatedStratum:
+    def test_point_estimate_with_one_treated_unit(self, capsys, tmp_path):
+        path = tmp_path / "one_treated.csv"
+        path.write_text(
+            "unit_id,y0,y1,d,stratum\n"
+            "a,1,4,1,A\nb,0,1,0,A\nc,2,3,0,A\n"
+            "e,0,2,1,B\nf,1,3,1,B\ng,0,1,0,B\nh,1,2,0,B\n"
+        )
+        code, out, err = run(capsys, [
+            "estimate", "--input", str(path), "--pi", "stratum",
+            "--sign-mu", "pos", "--sign-tau", "neg", "--format", "json",
+        ])
+        assert code == 0, err
+        strata = json.loads(out)["results"]["strata"]
+        assert strata["A"]["m_hat"] == 2.0
+        assert strata["A"]["pi"] == pytest.approx(1 / 3)
+        assert strata["B"]["m_hat"] == 1.0
+
+
+class TestInferContrastSe:
+    def test_t_statistic_keeps_its_bits(self, capsys, tmp_path):
+        from antebounds.bounds import SignRegime, did_estimand
+        from antebounds.inference import bound_variances
+        from antebounds.panel import GTransform, load_two_period
+
+        rng = np.random.default_rng(5)
+        rows = ["unit_id,y0,y1,d"] + [
+            f"u{i},{a!r},{b!r},{i % 2}" for i, (a, b) in enumerate(rng.normal(size=(301, 2)).tolist())
+        ]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, [
+            "infer", "--input", str(path), "--pi", "const:0.4", "--epsilon", "0.2",
+            "--sign-mu", "pos", "--sign-tau", "neg", "--format", "json",
+        ])
+        assert code == 0
+        panel = load_two_period(path.read_text(), "wide")
+        g = GTransform.identity()
+        se_m = bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
+        assert json.loads(out)["results"]["t_tilde"] == did_estimand(panel, g) / se_m

@@ -114,6 +114,17 @@ class TestBoundVariances:
         vc = bound_variances(panel, GTransform.identity(), 0.5, OPP)
         assert vc.sigma_u == pytest.approx(math.sqrt(8.0))
 
+    @pytest.mark.parametrize("epsilon", [None, 0.3])
+    def test_contrast_se_from_the_same_pass(self, epsilon):
+        panel = random_panel(np.random.default_rng(12), n=50)
+        g = GTransform.identity()
+        vc = bound_variances(panel, g, 0.4, OPP, epsilon=epsilon)
+        assert vc.se_m == bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
+
+    def test_contrast_se_needs_sigma_m(self):
+        with pytest.raises(ValueError, match="contrast"):
+            VarianceComponents(sigma_l=1.0, sigma_u=1.0, n=4).se_m
+
     def test_scaled_regime_divisor(self):
         panel = make_panel([0, 0, 0, 0], [1, 3, 0, 2], [1, 1, 0, 0])
         vc = bound_variances(panel, GTransform.identity(), 0.5, SAME)

@@ -1,0 +1,259 @@
+"""The column-wise CSV loader against the row-by-row reference.
+
+Every input must give an equal panel (ids, strata, and outcome bits) from
+both loaders, or a PanelFormatError with the same message, row and field.
+Generated files mix valid rows with faults: unparsable or non-finite
+numbers, out-of-range flags, short and over-long rows, blank lines,
+quoting, CRLF line ends, repeated or inconsistent units and missing
+periods.  Small chunk sizes make short files span several chunks; the
+real chunk size is covered by faults placed around its first boundary.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import loader_oracle
+from antebounds import panel as panel_module
+from antebounds.panel import PanelFormatError, load_two_period
+
+CHUNK = panel_module.CHUNK_ROWS
+
+GOOD_NUMBERS = st.sampled_from(["0", "1", "-2.5", "3e2", "0.1", "-0", " 4 ", "1_000", "+7."])
+BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "0x1", "1__0", "1,5"])
+BAD_FLAGS = st.sampled_from(["2", "", " 1", "1.0", "-1", "01", "true"])
+ODD_IDS = st.sampled_from(["a,b", 'q"x', "", "u 1", "line\nbreak", "cr\rhere"])
+STRATA = st.sampled_from(["A", "B", "", "A,B"])
+CHUNKS = st.sampled_from([1, 2, 3, 5, 8, CHUNK])
+
+
+@contextlib.contextmanager
+def chunk_rows(size: int):
+    saved = panel_module.CHUNK_ROWS
+    panel_module.CHUNK_ROWS = size
+    try:
+        yield
+    finally:
+        panel_module.CHUNK_ROWS = saved
+
+
+def assert_same_result(text: str, layout: str) -> None:
+    try:
+        expected = loader_oracle.load_two_period(text, layout)
+    except csv.Error as exc:
+        # the reference had no answer here (it crashed); the loader must
+        # still name the fault as a format error
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, layout)
+        assert str(exc) in str(got.value)
+        return
+    except PanelFormatError as exc:
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, layout)
+        assert (str(got.value), got.value.row, got.value.field) == (str(exc), exc.row, exc.field)
+        return
+    got = load_two_period(text, layout)
+    assert got.unit_ids == expected.unit_ids
+    assert got.strata == expected.strata
+    assert got.y0.tobytes() == expected.y0.tobytes()
+    assert got.y1.tobytes() == expected.y1.tobytes()
+    assert got.d.dtype == expected.d.dtype
+    assert np.array_equal(got.d, expected.d)
+
+
+def render(draw, header: list[str], rows: list[list[str]]) -> str:
+    """CSV text with drawn quoting, line ends, blank lines and row lengths."""
+    quote_all = draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            cut = draw(st.integers(0, len(rows[i]) + 2))
+            rows[i] = rows[i][:cut] + ["extra"] * max(0, cut - len(rows[i]))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+
+    def field(value: str) -> str:
+        return '"' + value.replace('"', '""') + '"' if quote_all else value
+
+    lines = [",".join(map(field, header))] + [
+        ",".join(map(field, r)) if r else "" for r in rows
+    ]
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def apply_faults(draw, rows: list[list[str]], columns: dict[str, int]) -> None:
+    """Overwrite a few fields with bad numbers, bad flags or odd ids."""
+    if not rows:
+        return
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        name = draw(st.sampled_from(sorted(columns)))
+        if name in ("y", "y0", "y1"):
+            value = draw(BAD_NUMBERS)
+        elif name in ("d", "t"):
+            value = draw(BAD_FLAGS)
+        elif name == "unit_id":
+            value = draw(st.one_of(ODD_IDS, st.sampled_from([r[columns[name]] for r in rows])))
+        else:
+            value = draw(STRATA)
+        rows[i][columns[name]] = value
+
+
+def draw_header(draw, required: list[str]) -> list[str]:
+    names = required + (["stratum"] if draw(st.booleans()) else [])
+    names += draw(st.sampled_from([[], ["note"], ["y0" if "y0" in required else "y"]]))
+    return draw(st.permutations(names))
+
+
+@st.composite
+def wide_files(draw) -> str:
+    header = draw_header(draw, ["unit_id", "y0", "y1", "d"])
+    columns = {name: j for j, name in enumerate(header)}
+    rows = []
+    for i in range(draw(st.integers(0, 30))):
+        values = {
+            "unit_id": f"u{i}",
+            "y0": draw(GOOD_NUMBERS),
+            "y1": draw(GOOD_NUMBERS),
+            "d": draw(st.sampled_from("01")),
+            "stratum": draw(STRATA),
+            "note": "n",
+        }
+        rows.append([values[name] for name in header])
+    apply_faults(draw, rows, columns)
+    return render(draw, header, rows)
+
+
+@st.composite
+def long_files(draw) -> str:
+    header = draw_header(draw, ["unit_id", "t", "y", "d"])
+    columns = {name: j for j, name in enumerate(header)}
+    rows = []
+    for i in range(draw(st.integers(0, 15))):
+        d, stratum = draw(st.sampled_from("01")), draw(STRATA)
+        for t in "01":
+            values = {"unit_id": f"u{i}", "t": t, "y": draw(GOOD_NUMBERS),
+                      "d": d, "stratum": stratum, "note": "n"}
+            rows.append([values[name] for name in header])
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            if draw(st.booleans()):
+                del rows[i]  # a missing period
+            else:
+                rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))  # a repeat
+    apply_faults(draw, rows, columns)
+    return render(draw, header, rows)
+
+
+# an unreadable record must not hide a fault in an earlier row of its chunk
+@example(text="unit_id,y0,y1,d\nu0,nan,0,0\ncr\rhere,0,0,0\nu2,0,0,1\n", chunk=8)
+@settings(max_examples=400, deadline=None)
+@given(text=wide_files(), chunk=CHUNKS)
+def test_wide_matches_reference(text, chunk):
+    with chunk_rows(chunk):
+        assert_same_result(text, "wide")
+
+
+@example(text="unit_id,t,y,d\nu0,0,1,0\nu0,0,2,0\ncr\rhere,0,0,0\n", chunk=8)
+@settings(max_examples=400, deadline=None)
+@given(text=long_files(), chunk=CHUNKS)
+def test_long_matches_reference(text, chunk):
+    with chunk_rows(chunk):
+        assert_same_result(text, "long")
+
+
+# --- the real chunk size: faults around its first boundary ----------------
+
+
+@functools.lru_cache(maxsize=None)
+def wide_lines(n: int) -> tuple[str, ...]:
+    y = np.random.default_rng(7).normal(size=(n, 2)).tolist()
+    return tuple(f"u{i},{a!r},{b!r},{i % 2}" for i, (a, b) in enumerate(y))
+
+
+@functools.lru_cache(maxsize=None)
+def long_lines(n_units: int) -> tuple[str, ...]:
+    y = np.random.default_rng(8).normal(size=(n_units, 2)).tolist()
+    # a leading unit whose second row comes last puts every other unit's
+    # t=1 row at an even offset, so one pair straddles the boundary
+    lines = ["lead,0,0.5,1,A"]
+    for i, (a, b) in enumerate(y):
+        stratum = "AB"[i % 3 == 0]
+        lines += [f"u{i},0,{a!r},{i % 2},{stratum}", f"u{i},1,{b!r},{i % 2},{stratum}"]
+    return tuple(lines + ["lead,1,1.5,1,A"])
+
+
+def wide_text(lines) -> str:
+    return "unit_id,y0,y1,d\n" + "\n".join(lines) + "\n"
+
+
+def long_text(lines) -> str:
+    return "unit_id,t,y,d,stratum\n" + "\n".join(lines) + "\n"
+
+
+def set_field(j: int, value):
+    def fault(line: str) -> str:
+        fields = line.split(",")
+        fields[j] = value(fields[j]) if callable(value) else value
+        return ",".join(fields)
+
+    return fault
+
+
+WIDE_FAULTS = {  # fields: unit_id, y0, y1, d
+    "non-finite y0": set_field(1, "nan"),
+    "bad d": set_field(3, "2"),
+    "short row": lambda line: line.rsplit(",", 1)[0],
+}
+
+LONG_FAULTS = {  # fields: unit_id, t, y, d, stratum
+    "bad t": set_field(1, "7"),
+    "treatment change": set_field(3, lambda d: "1" if d == "0" else "0"),
+    "stratum change": set_field(4, "C"),
+}
+
+BOUNDARY = [CHUNK - 1, CHUNK, CHUNK + 1]
+
+
+@pytest.mark.parametrize("fault", sorted(WIDE_FAULTS))
+@pytest.mark.parametrize("offset", BOUNDARY)
+def test_wide_fault_at_chunk_boundary(fault, offset):
+    lines = list(wide_lines(CHUNK + 2))
+    lines[offset] = WIDE_FAULTS[fault](lines[offset])
+    assert_same_result(wide_text(lines), "wide")
+
+
+@pytest.mark.parametrize("fault", sorted(LONG_FAULTS) + ["repeat", "missing period"])
+@pytest.mark.parametrize("offset", BOUNDARY)
+def test_long_fault_at_chunk_boundary(fault, offset):
+    lines = list(long_lines(CHUNK // 2 + 1))
+    if fault == "repeat":
+        lines.insert(offset, lines[offset - 3])
+    elif fault == "missing period":
+        del lines[offset]
+    else:
+        lines[offset] = LONG_FAULTS[fault](lines[offset])
+    assert_same_result(long_text(lines), "long")
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_clean_file_spans_several_chunks(layout):
+    # three chunks either way: 2*CHUNK + 5 wide rows, or 2*CHUNK + 6 long ones
+    if layout == "wide":
+        n, text = 2 * CHUNK + 5, wide_text(wide_lines(2 * CHUNK + 5))
+    else:
+        n, text = CHUNK + 3, long_text(long_lines(CHUNK + 2))
+    assert load_two_period(text, layout).n == n
+    assert_same_result(text, layout)

@@ -67,6 +67,10 @@ class TestLoaders:
         with pytest.raises(PanelFormatError, match="treatment must be 0 or 1"):
             load_two_period("unit_id,y0,y1,d\na,1.0,2.0,2\nb,0.0,1.0,0\n", "wide")
 
+    def test_oversized_header_field_names_row_1(self):
+        with pytest.raises(PanelFormatError, match=r"field larger than field limit.*\(row: 1\)"):
+            load_two_period("unit_id,y0,y1,d," + "x" * 200_000 + "\na,1,2,1\n", "wide")
+
     def test_nonnumeric_outcome_names_row_and_field(self):
         with pytest.raises(PanelFormatError, match="y1"):
             load_two_period("unit_id,y0,y1,d\na,1.0,oops,1\nb,0.0,1.0,0\n", "wide")

@@ -2,23 +2,22 @@
 """Uniformly valid confidence sets for the interval-identified effect.
 
 The two interval endpoints are proportional transforms of one estimate,
-so a valid confidence set extends both ends by the same length
-C_n * sigma / sqrt(n), with C_n solved from a normal-CDF equation.  The
-demo shows C_n interpolating between the two-sided and one-sided critical
-values, runs the full pipeline on simulated data, and reproduces a
-published confidence set from summary statistics alone.
+so a valid confidence set extends both ends by the same length C_n * se,
+with se the larger endpoint standard error and C_n solved from a
+normal-CDF equation.  The demo shows C_n interpolating between the
+two-sided and one-sided critical values, runs the pipeline on simulated
+data (the panel only supplies the contrast and its standard error), and
+reproduces a published confidence set from summary statistics alone.
 """
 
 from antebounds import (
     DgpConfig,
     GTransform,
     SignRegime,
-    bound_variances,
-    confidence_set,
+    contrast_se,
     critical_value_cn,
     did_estimand,
     generate_two_period,
-    identified_set_benchmark,
     robust_null_check,
     summary_mode_infer,
     tstar,
@@ -30,10 +29,10 @@ def main():
     print("CONFIDENCE SETS WITH A ROOT-SOLVED CRITICAL VALUE")
     print("=" * 68)
 
-    print("\nC_n versus the scaled interval width sqrt(n)*width/sigma:")
+    print("\nC_n versus the interval width in standard errors, width/se:")
     print(f"{'ratio':>8} {'C_n':>9}")
     for ratio in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-        print(f"{ratio:>8.2f} {critical_value_cn(ratio, 1.0, 1, 0.95):>9.5f}")
+        print(f"{ratio:>8.2f} {critical_value_cn(ratio, 1.0, 0.95):>9.5f}")
     print("ratio 0 gives the two-sided 1.96; a wide interval needs only the")
     print("one-sided 1.645 because each endpoint is tested from one side.")
 
@@ -44,13 +43,13 @@ def main():
     pi = 0.4
 
     m_hat = did_estimand(panel, g)
-    interval = identified_set_benchmark(m_hat, pi, regime)
-    vc = bound_variances(panel, g, pi, regime)
-    cs = confidence_set(interval.lower, interval.upper, vc, alpha=0.95)
+    interval, cs = summary_mode_infer(m_hat, contrast_se(panel, g), pi, None, regime, 0.95)
+    vc = cs.components
     print(f"\nsimulated panel (n={cfg.n}, true mu={cfg.mu}):")
     print(f"  m-hat          {m_hat:+.4f}")
     print(f"  identified set [{interval.lower:.4f}, {interval.upper:.4f}]")
-    print(f"  sigma_l/sigma_u {vc.sigma_l:.3f}/{vc.sigma_u:.3f} -> max rules both sides")
+    print(f"  SE contrast    {vc.se_m:.4f}")
+    print(f"  SE lower/upper {vc.se_l:.4f}/{vc.se_u:.4f} -> max rules both sides")
     print(f"  95% CS         [{cs.lower:.4f}, {cs.upper:.4f}]  (C_n = {cs.c_n:.4f})")
     print(f"  covers true mu: {cs.contains(cfg.mu)}")
 

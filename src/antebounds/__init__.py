@@ -44,6 +44,7 @@ from .inference import (
     VarianceComponents,
     bound_variances,
     confidence_set,
+    contrast_se,
     critical_value_cn,
     robust_null_check,
     summary_mode_infer,

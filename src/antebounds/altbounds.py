@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import IdentifiedInterval
 from .cic import EmpiricalDistribution
-from .panel import GTransform, TwoPeriodPanel, group_stats
+from .panel import GTransform, TwoPeriodPanel
 
 __all__ = [
     "OutcomeBounds",
@@ -48,20 +48,15 @@ class OutcomeBounds:
 
 def common_term(panel: TwoPeriodPanel, g: GTransform) -> float:
     """The shared observable term T as the group-mean combination
-    (d11 - d01) + d00."""
-    gs = group_stats(panel, g)
-    return float(gs.delta[1, 1] - gs.delta[0, 1] + gs.delta[0, 0])
+    (d11 - d01) + d00.
 
-
-def _common_term_weighted(panel: TwoPeriodPanel, g: GTransform) -> float:
-    """T as the direct propensity-weighted sample mean; algebraically equal
-    to :func:`common_term`, kept for cross-checking."""
-    p = panel.n_treated / panel.n
-    g1 = g.apply(panel.y1)
-    g0 = g.apply(panel.y0)
-    d = panel.d.astype(float)
-    w = (d - p) / (p * (1.0 - p)) * g1 + (1.0 - d) / (1.0 - p) * g0
-    return float(w.mean())
+    Only means enter, so one unit per group suffices; the arithmetic is
+    that of ``group_stats`` means, bit for bit.
+    """
+    g0, g1 = g.apply(panel.y0), g.apply(panel.y1)
+    treated = panel.d == 1
+    control = ~treated
+    return float(g1[treated].mean() - g1[control].mean() + g0[control].mean())
 
 
 def bounded_outcome_set(

@@ -127,8 +127,10 @@ class PiBound:
         if self.kind == "treatment_ratio":
             if panel is None:
                 raise ValueError("treatment-ratio policy needs a panel to resolve")
-            target = panel.restrict_to_stratum(stratum) if stratum is not None else panel
-            pi = treatment_ratio(target)
+            if stratum is None:
+                pi = treatment_ratio(panel)
+            else:
+                pi = float(panel.d[panel.stratum_mask(stratum)].mean())
             _check_pi(pi, where="treatment ratio")
             return pi
         if self.kind == "per_stratum":
@@ -198,8 +200,11 @@ def did_estimand(panel: TwoPeriodPanel, g: GTransform) -> float:
     Needs one unit per group, not the two that variances need; the
     arithmetic is that of :meth:`GroupStats.diff_in_diff`, bit for bit.
     """
-    g0, g1 = g.apply(panel.y0), g.apply(panel.y1)
-    treated = panel.d == 1
+    return _did(panel.y0, panel.y1, panel.d == 1, g)
+
+
+def _did(y0: np.ndarray, y1: np.ndarray, treated: np.ndarray, g: GTransform) -> float:
+    g0, g1 = g.apply(y0), g.apply(y1)
     control = ~treated
     return float(
         (g1[treated].mean() - g0[treated].mean()) - (g1[control].mean() - g0[control].mean())
@@ -314,13 +319,11 @@ def conditional_estimand(panel: TwoPeriodPanel, g: GTransform) -> dict:
     """
     out = {}
     for label in panel.stratum_labels():
-        if panel.strata is not None:
-            mask = np.array([lab == label for lab in panel.strata])
-            treated = int(panel.d[mask].sum())
-            if treated == 0 or treated == int(mask.sum()):
-                raise ValueError(f"stratum {label!r} lacks comparison group")
-        sub = panel.restrict_to_stratum(label)
-        out[label] = did_estimand(sub, g)
+        mask = panel.stratum_mask(label)
+        treated = panel.d[mask] == 1
+        if treated.all() or not treated.any():
+            raise ValueError(f"stratum {label!r} lacks comparison group")
+        out[label] = _did(panel.y0[mask], panel.y1[mask], treated, g)
     return out
 
 
@@ -379,7 +382,8 @@ def sensitivity_sweep(
     """Identified and confidence sets over a grid of (pi, epsilon) choices.
 
     Output is ordered by pi then epsilon so the rows plot directly against
-    the anticipation-probability axis.
+    the anticipation-probability axis.  ``n`` is not used: ``se`` already
+    reflects the sample size.
     """
     from .inference import summary_mode_infer  # local import: inference builds on bounds
 

@@ -24,7 +24,7 @@ from . import __version__
 from .bounds import (
     PiBound,
     SignRegime,
-    conditional_identified_sets,
+    conditional_estimand,
     did_estimand,
     identified_set_benchmark,
     identified_set_imperfect,
@@ -35,8 +35,7 @@ from .bounds import (
 from .cic import CicData, cic_identified_set
 from .inference import (
     DegenerateVarianceError,
-    bound_variances,
-    confidence_set,
+    contrast_se,
     robust_null_check,
     summary_mode_infer,
 )
@@ -245,22 +244,20 @@ def _estimate_payload(args):
     if pi_bound == "stratum":
         if panel.strata is None:
             raise CliError("--pi stratum needs a panel with a stratum column")
-        from .bounds import conditional_estimand
-
         per = PiBound.from_treatment_ratio()
+        strata = {}
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
-            m_by_stratum = conditional_estimand(panel, g)
-            sets = conditional_identified_sets(panel, g, per, regime)
+            for label, m in conditional_estimand(panel, g).items():
+                interval = identified_set_benchmark(
+                    m, per.resolve(panel=panel, stratum=label), regime
+                )
+                strata[str(label)] = {
+                    "m_hat": m,
+                    "pi": interval.pi_used,
+                    "interval": _interval_dict(interval),
+                }
         caught.extend(str(w.message) for w in wlist)
-        strata = {
-            str(label): {
-                "m_hat": m_by_stratum[label],
-                "pi": sets[label].pi_used,
-                "interval": _interval_dict(sets[label]),
-            }
-            for label in m_by_stratum
-        }
         results = {"strata": strata, "g": g.describe(), "pi_policy": "stratum", "warnings": caught}
         return panel, regime, g, digest, results
 
@@ -328,41 +325,34 @@ def _add_infer_flags(p: argparse.ArgumentParser) -> None:
                    help="summary-statistics mode: m=<v> se=<v> [n=<v>]")
 
 
-def _infer_payload(args):
-    regime = _parse_regime(args.sign_mu, args.sign_tau)
-    caught: list[str] = []
+def _contrast(args):
+    """(m_hat, se_m, panel, digest): the DID contrast and its standard error
+    from ``--summary`` (panel None) or from the ``--input`` panel."""
     if args.summary:
         summ = _parse_summary(args.summary)
-        pi_bound = _parse_pi(args.pi)
-        if pi_bound == "stratum" or pi_bound.kind != "constant":
-            raise CliError("summary mode needs --pi const:<v> (no panel to resolve from)")
-        pi = pi_bound.value
-        m_hat, se = summ["m"], summ["se"]
-        regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
-        interval, cs = summary_mode_infer(m_hat, se, pi, args.epsilon, regime, args.alpha)
-        t_tilde = m_hat / se
-        digest = {"summary": summ}
-        sigma_note = {"sigma_l": None, "sigma_u": None, "se": se}
-    else:
-        if not args.input:
-            raise CliError("either --input or --summary is required")
-        panel = _load_panel(args)
-        g = _parse_g(args.g)
-        pi_bound = _parse_pi(args.pi)
-        if pi_bound == "stratum":
-            raise CliError("per-stratum inference is not supported; use estimate --pi stratum")
-        pi = pi_bound.resolve(panel=panel)
-        m_hat = did_estimand(panel, g)
-        regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
-        if args.epsilon is None:
-            interval = identified_set_benchmark(m_hat, pi, regime)
-        else:
-            interval = identified_set_imperfect(m_hat, pi, args.epsilon, regime)
-        vc = bound_variances(panel, g, pi, regime, epsilon=args.epsilon)
-        cs = confidence_set(interval.lower, interval.upper, vc, args.alpha)
-        t_tilde = m_hat / vc.se_m
-        digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
-        sigma_note = {"sigma_l": vc.sigma_l, "sigma_u": vc.sigma_u, "se": vc.se}
+        return summ["m"], summ["se"], None, {"summary": summ}
+    if not args.input:
+        raise CliError("either --input or --summary is required")
+    panel = _load_panel(args)
+    g = _parse_g(args.g)
+    digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
+    return did_estimand(panel, g), contrast_se(panel, g), panel, digest
+
+
+def _infer_payload(args):
+    regime = _parse_regime(args.sign_mu, args.sign_tau)
+    pi_bound = _parse_pi(args.pi)
+    if args.summary and (pi_bound == "stratum" or pi_bound.kind != "constant"):
+        raise CliError("summary mode needs --pi const:<v> (no panel to resolve from)")
+    if pi_bound == "stratum":
+        raise CliError("per-stratum inference is not supported; use estimate --pi stratum")
+    m_hat, se_m, panel, digest = _contrast(args)
+    pi = pi_bound.resolve(panel=panel)
+    caught: list[str] = []
+    regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
+    interval, cs = summary_mode_infer(m_hat, se_m, pi, args.epsilon, regime, args.alpha)
+    vc = cs.components
+    t_tilde = m_hat / se_m
     verdict = None
     if regime.s == -1:
         verdict = robust_null_check(t_tilde, args.alpha, regime)
@@ -378,7 +368,7 @@ def _infer_payload(args):
             "alpha": cs.alpha,
             "delta_hat": cs.delta_hat,
         },
-        "sigma": sigma_note,
+        "sigma": {"se_l": vc.se_l, "se_u": vc.se_u, "se_m": vc.se_m, "se": vc.se},
         "t_tilde": t_tilde,
         "robust_null": verdict,
         "warnings": caught,
@@ -436,23 +426,11 @@ def cmd_sensitivity(args) -> int:
         if args.epsilon_grid
         else [None]
     )
-    if args.summary:
-        summ = _parse_summary(args.summary)
-        m_hat, se, n = summ["m"], summ["se"], int(summ["n"])
-        digest = {"summary": summ}
-    else:
-        if not args.input:
-            raise CliError("either --input or --summary is required")
-        panel = _load_panel(args)
-        g = _parse_g(args.g)
-        m_hat = did_estimand(panel, g)
-        se = bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
-        n = panel.n
-        digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
+    m_hat, se, _, digest = _contrast(args)
     caught: list[str] = []
     regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
     grid = [(pi, eps) for pi in pis for eps in eps_grid]
-    rows = sensitivity_sweep(m_hat, se, n, grid, regime, args.alpha)
+    rows = sensitivity_sweep(m_hat, se, 1, grid, regime, args.alpha)
     cutoff = robustness_cutoff(rows)
     config = {
         "pi_grid": pis,

@@ -3,15 +3,16 @@
 The two interval endpoints are proportional transforms of the same
 difference-in-differences contrast, hence perfectly correlated; a valid
 confidence set extends BOTH endpoints outward by the same length
-C_n * sigma / sqrt(n), where sigma is the larger of the two endpoint
-standard deviations and C_n solves
+C_n * se, where se is the larger of the two endpoint standard errors and
+C_n solves
 
-    Phi(C_n + sqrt(n) * (upper - lower) / sigma) - Phi(-C_n) = alpha.
+    Phi(C_n + (upper - lower) / se) - Phi(-C_n) = alpha.
 
 C_n interpolates between the one-sided and two-sided normal critical
-values as the estimated interval widens.  A summary-statistics mode takes
-just (m_hat, SE) so published tables can be re-analyzed without
-micro-data.
+values as the estimated interval widens.  Only the contrast m_hat and
+its SE enter (Imbens and Manski 2004, Stoye 2009): :func:`summary_mode_infer`
+is the one route from (m_hat, SE) to both sets, panel data only supply
+the SE (:func:`contrast_se`), and published tables need no micro-data.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .bounds import (
     IdentifiedInterval,
     SignRegime,
+    did_estimand,
     endpoint_scale_factors,
     identified_set_benchmark,
     identified_set_imperfect,
@@ -36,6 +38,7 @@ __all__ = [
     "VarianceComponents",
     "ConfidenceSet",
     "contrast_moments",
+    "contrast_se",
     "bound_variances",
     "critical_value_cn",
     "confidence_set",
@@ -51,60 +54,48 @@ NOT_ROBUST = "not-robust"
 
 
 class DegenerateVarianceError(RuntimeError):
-    """Both endpoint variances are zero; the asymptotics are vacuous."""
+    """The contrast (hence every endpoint) has zero variance."""
 
 
 @dataclass(frozen=True)
 class VarianceComponents:
-    """Standard deviations of the sqrt(n)-scaled endpoint estimators.
+    """Standard errors of the two interval endpoints and of the DID
+    contrast ``se_m`` that both rescale.
 
-    ``sigma`` is the max of the two; the confidence set uses it for both
-    sides.  The endpoint correlation is 1 by the proportional construction
-    and is not stored.  ``sigma_m``, when known, is the standard deviation
-    of the scaled DID contrast that both endpoints rescale.
+    ``se`` is the max of the endpoint SEs; the confidence set uses it for
+    both sides.  The endpoint correlation is 1 by the proportional
+    construction and is not stored.
     """
 
-    sigma_l: float
-    sigma_u: float
-    n: int
-    sigma_m: float | None = None
+    se_l: float
+    se_u: float
+    se_m: float
 
     def __post_init__(self) -> None:
-        if self.sigma_l < 0 or self.sigma_u < 0:
-            raise ValueError("endpoint standard deviations must be nonnegative")
-        if self.sigma == 0.0:
+        if self.se_l < 0 or self.se_u < 0:
+            raise ValueError("endpoint standard errors must be nonnegative")
+        if self.se == 0.0:
             raise DegenerateVarianceError(
                 "zero variance for both interval endpoints; outcomes are degenerate"
             )
-        if self.n < 1:
-            raise ValueError(f"sample size must be positive, got {self.n}")
-
-    @property
-    def sigma(self) -> float:
-        return max(self.sigma_l, self.sigma_u)
 
     @property
     def se(self) -> float:
-        """sigma / sqrt(n), the extension-length scale."""
-        return self.sigma / math.sqrt(self.n)
-
-    @property
-    def se_m(self) -> float:
-        """sigma_m / sqrt(n), the standard error of the DID contrast."""
-        if self.sigma_m is None:
-            raise ValueError("these components carry no contrast standard deviation")
-        return self.sigma_m / math.sqrt(self.n)
+        """max(se_l, se_u), the extension-length scale."""
+        return max(self.se_l, self.se_u)
 
 
 @dataclass(frozen=True)
 class ConfidenceSet:
-    """Equal-length extension of the estimated interval on both sides."""
+    """Equal-length extension of the estimated interval on both sides, by
+    ``c_n * components.se``."""
 
     lower: float
     upper: float
     c_n: float
     alpha: float
     delta_hat: float
+    components: VarianceComponents
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
@@ -153,6 +144,28 @@ def contrast_moments(dy, d) -> tuple[np.ndarray, np.ndarray]:
     return mean1 - mean0, var1 / p + var0 / (1 - p)
 
 
+def contrast_se(panel: TwoPeriodPanel, g: GTransform) -> float:
+    """Standard error of the DID contrast, sqrt(variance / n) with the
+    variance of :func:`contrast_moments`; DegenerateVarianceError if 0."""
+    _, var_m = contrast_moments(g.apply(panel.y1) - g.apply(panel.y0), panel.d == 1)
+    se = math.sqrt(var_m) / math.sqrt(panel.n)
+    if se == 0.0:
+        raise DegenerateVarianceError("zero variance for the DID contrast; outcomes are degenerate")
+    return se
+
+
+def _endpoint_components(
+    m_hat: float, se_m: float, pi: float, regime: SignRegime, epsilon: float | None
+) -> VarianceComponents:
+    """The contrast SE times each endpoint's scale factor, in the order of
+    the realized interval sorted(m_hat*fa, m_hat*fb)."""
+    fa, fb = endpoint_scale_factors(pi, regime, epsilon)
+    se_l, se_u = se_m * fa, se_m * fb
+    if m_hat * fa > m_hat * fb:
+        se_l, se_u = se_u, se_l
+    return VarianceComponents(se_l=se_l, se_u=se_u, se_m=se_m)
+
+
 def bound_variances(
     panel: TwoPeriodPanel,
     g: GTransform,
@@ -160,38 +173,30 @@ def bound_variances(
     regime: SignRegime,
     epsilon: float | None = None,
 ) -> VarianceComponents:
-    """Plug-in endpoint variances from the contrast variance.
+    """Endpoint standard errors from panel data: :func:`did_estimand` and
+    :func:`contrast_se`, scaled exactly as :func:`summary_mode_infer` scales
+    them.
 
-    The scaled endpoint inherits the contrast variance of
-    :func:`contrast_moments` times the squared scale factor (1/(1+pi) or
-    1/(1-pi) depending on the sign regime).  pi_hat enters as a constant:
-    its own sampling noise is ignored, matching the estimator the
-    variance formulas are written for.
+    pi_hat enters as a constant: its own sampling noise is ignored,
+    matching the estimator the variance formulas are written for.
     """
-    m_hat, var_m = contrast_moments(g.apply(panel.y1) - g.apply(panel.y0), panel.d == 1)
-    sigma_m = math.sqrt(var_m)
-    fa, fb = endpoint_scale_factors(pi_hat, regime, epsilon)
-    # Endpoint order follows the realized interval: sorted(m*fa, m*fb).
-    sd_a, sd_b = sigma_m * abs(fa), sigma_m * abs(fb)
-    if m_hat * fa <= m_hat * fb:
-        sigma_l, sigma_u = sd_a, sd_b
-    else:
-        sigma_l, sigma_u = sd_b, sd_a
-    return VarianceComponents(sigma_l=sigma_l, sigma_u=sigma_u, n=panel.n, sigma_m=sigma_m)
+    return _endpoint_components(
+        did_estimand(panel, g), contrast_se(panel, g), pi_hat, regime, epsilon
+    )
 
 
-def critical_value_cn(delta_hat: float, sigma: float, n: int, alpha: float) -> float:
-    """Critical value solving Phi(C + sqrt(n)*delta/sigma) - Phi(-C) = alpha.
+def critical_value_cn(delta_hat: float, se: float, alpha: float) -> float:
+    """Critical value solving Phi(C + delta/se) - Phi(-C) = alpha.
 
     Monotone in C, so bisection on a bracket slightly padding the analytic
     range [Phi^-1(alpha), Phi^-1((1+alpha)/2)] always converges.
     """
     _check_alpha(alpha)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if se <= 0.0:
+        raise ValueError(f"se must be positive, got {se}")
     if delta_hat < 0.0:
         raise ValueError(f"interval width must be nonnegative, got {delta_hat}")
-    ratio = math.sqrt(n) * delta_hat / sigma
+    ratio = delta_hat / se
     lo = std_normal_quantile(alpha) - 0.1
     hi = std_normal_quantile((1.0 + alpha) / 2.0) + 0.1
 
@@ -204,14 +209,14 @@ def critical_value_cn(delta_hat: float, sigma: float, n: int, alpha: float) -> f
 def confidence_set(
     mu_l_hat: float, mu_u_hat: float, vc: VarianceComponents, alpha: float
 ) -> ConfidenceSet:
-    """Extend [mu_l_hat, mu_u_hat] by C_n * sigma / sqrt(n) on each side."""
+    """Extend [mu_l_hat, mu_u_hat] by C_n * se on each side."""
     _check_alpha(alpha)
     if mu_l_hat > mu_u_hat:
         raise ValueError(
             f"endpoints must be ordered: lower {mu_l_hat} > upper {mu_u_hat}"
         )
     delta_hat = mu_u_hat - mu_l_hat
-    c_n = critical_value_cn(delta_hat, vc.sigma, vc.n, alpha)
+    c_n = critical_value_cn(delta_hat, vc.se, alpha)
     ext = c_n * vc.se
     return ConfidenceSet(
         lower=mu_l_hat - ext,
@@ -219,6 +224,7 @@ def confidence_set(
         c_n=c_n,
         alpha=alpha,
         delta_hat=delta_hat,
+        components=vc,
     )
 
 
@@ -266,10 +272,11 @@ def summary_mode_infer(
 ) -> tuple[IdentifiedInterval, ConfidenceSet]:
     """Identified set and confidence set from (m_hat, SE) alone.
 
-    The supplied SE is taken as sigma/sqrt(n) of the no-anticipation DID
-    estimator; each endpoint's SE is that times its scale factor, and the
-    larger one extends both sides.  Sample size plays no further role once
-    the SE is given.
+    The supplied SE is that of the no-anticipation DID contrast; each
+    endpoint's SE is that times its scale factor, and the larger one
+    extends both sides.  Sample size plays no further role once the SE is
+    given.  The confidence set carries these standard errors as
+    ``components``.
     """
     if se <= 0.0:
         raise ValueError(f"standard error must be positive, got {se}")
@@ -277,15 +284,8 @@ def summary_mode_infer(
         interval = identified_set_benchmark(m_hat, pi, regime)
     else:
         interval = identified_set_imperfect(m_hat, pi, epsilon, regime)
-    fa, fb = endpoint_scale_factors(pi, regime, epsilon)
-    se_a, se_b = se * abs(fa), se * abs(fb)
-    if m_hat * fa <= m_hat * fb:
-        se_l, se_u = se_a, se_b
-    else:
-        se_l, se_u = se_b, se_a
-    vc = VarianceComponents(sigma_l=se_l, sigma_u=se_u, n=1)
-    cs = confidence_set(interval.lower, interval.upper, vc, alpha)
-    return interval, cs
+    vc = _endpoint_components(m_hat, se, pi, regime, epsilon)
+    return interval, confidence_set(interval.lower, interval.upper, vc, alpha)
 
 
 def _check_alpha(alpha: float) -> None:

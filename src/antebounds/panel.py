@@ -12,8 +12,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, count, filterfalse, islice
+from functools import cached_property, partial
+from itertools import chain, compress, count, filterfalse, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,27 +139,38 @@ class TwoPeriodPanel:
     def n_control(self) -> int:
         return self.n - self.n_treated
 
+    @cached_property
+    def _stratum_index(self) -> tuple[dict, np.ndarray]:
+        """Stratum label -> code in first-appearance order, and each unit's
+        code; built in one pass and kept, so every stratum mask after the
+        first is one numpy comparison."""
+        index: dict = {}
+        return index, _codes(index, self.strata)
+
     def stratum_labels(self) -> tuple:
         """Distinct stratum labels in first-appearance order; a single
         implicit stratum when no stratum column was provided."""
         if self.strata is None:
             return ("<all>",)
-        seen: dict = {}
-        for s in self.strata:
-            seen.setdefault(s, None)
-        return tuple(seen)
+        return tuple(self._stratum_index[0])
 
-    def restrict_to_stratum(self, label) -> "TwoPeriodPanel":
+    def stratum_mask(self, label) -> np.ndarray:
+        """Boolean mask of the units in stratum ``label``."""
         if self.strata is None:
             if label == "<all>":
-                return self
+                return np.ones(self.n, dtype=bool)
             raise KeyError(f"panel has no stratum column (asked for {label!r})")
-        mask = np.array([s == label for s in self.strata])
-        if not mask.any():
+        index, codes = self._stratum_index
+        if label not in index:
             raise KeyError(f"no units in stratum {label!r}")
-        ids = tuple(u for u, m in zip(self.unit_ids, mask) if m)
+        return codes == index[label]
+
+    def restrict_to_stratum(self, label) -> "TwoPeriodPanel":
+        mask = self.stratum_mask(label)
+        if self.strata is None:
+            return self
         return TwoPeriodPanel(
-            unit_ids=ids,
+            unit_ids=tuple(compress(self.unit_ids, mask)),
             y0=self.y0[mask],
             y1=self.y1[mask],
             d=self.d[mask],
@@ -583,40 +594,45 @@ def load_cohort(source) -> CohortPanel:
     _require_columns(reader, ("unit_id", "t", "y", "e"))
     records: dict = {}
     order: list = []
-    for row_num, row in enumerate(reader, start=2):
-        uid = row["unit_id"]
-        try:
-            t = int(row["t"])
-        except (TypeError, ValueError):
-            raise PanelFormatError(
-                f"non-integer period {row['t']!r}", row=row_num, field="t"
-            ) from None
-        y = _parse_float(row["y"], row_num, "y")
-        e_raw = row["e"]
-        if e_raw == "inf":
-            e = NEVER_TREATED
-        else:
+    row_num = 1
+    try:
+        for row_num, row in enumerate(reader, start=2):
+            uid = row["unit_id"]
             try:
-                e = float(int(e_raw))
+                t = int(row["t"])
             except (TypeError, ValueError):
                 raise PanelFormatError(
-                    f"cohort must be a positive integer or 'inf', got {e_raw!r}",
-                    row=row_num,
-                    field="e",
+                    f"non-integer period {row['t']!r}", row=row_num, field="t"
                 ) from None
-        if uid not in records:
-            records[uid] = {"y": {}, "e": e}
-            order.append(uid)
-        rec = records[uid]
-        if t in rec["y"]:
-            raise PanelFormatError(
-                f"duplicate (unit, period) for unit {uid!r} at t={t}", row=row_num
-            )
-        if rec["e"] != e:
-            raise PanelFormatError(
-                f"cohort not constant within unit {uid!r}", row=row_num, field="e"
-            )
-        rec["y"][t] = y
+            y = _parse_float(row["y"], row_num, "y")
+            e_raw = row["e"]
+            if e_raw == "inf":
+                e = NEVER_TREATED
+            else:
+                try:
+                    e = float(int(e_raw))
+                except (TypeError, ValueError):
+                    raise PanelFormatError(
+                        f"cohort must be a positive integer or 'inf', got {e_raw!r}",
+                        row=row_num,
+                        field="e",
+                    ) from None
+            if uid not in records:
+                records[uid] = {"y": {}, "e": e}
+                order.append(uid)
+            rec = records[uid]
+            if t in rec["y"]:
+                raise PanelFormatError(
+                    f"duplicate (unit, period) for unit {uid!r} at t={t}", row=row_num
+                )
+            if rec["e"] != e:
+                raise PanelFormatError(
+                    f"cohort not constant within unit {uid!r}", row=row_num, field="e"
+                )
+            rec["y"][t] = y
+    except csv.Error as exc:
+        # the unreadable record is the one after row_num; blank rows are not numbered
+        raise PanelFormatError(f"unreadable CSV row: {exc}", row=row_num + 1) from None
     if not order:
         raise PanelFormatError("no data rows")
     periods = sorted({t for rec in records.values() for t in rec["y"]})

@@ -32,8 +32,8 @@ from .bounds import (
 from .cic import CicData
 from .inference import (
     DegenerateVarianceError,
-    bound_variances,
     contrast_moments,
+    contrast_se,
     critical_value_cn,
 )
 from .panel import CohortPanel, GTransform, TwoPeriodPanel
@@ -510,16 +510,17 @@ def _coverage_block(job) -> np.ndarray:
     fa, fb = endpoint_scale_factors(pi, cfg.regime())
     lower = np.minimum(m_hat * fa, m_hat * fb)
     upper = np.maximum(m_hat * fa, m_hat * fb)
-    sigma = np.sqrt(var_m) * max(abs(fa), abs(fb))
-    if not (sigma > 0.0).all():
+    # (sd * factor) / sqrt(n): this order keeps mean_cs_length's last digit
+    se = np.sqrt(var_m) * max(fa, fb) / math.sqrt(cfg.n)
+    if not (se > 0.0).all():
         raise DegenerateVarianceError(
             "zero variance for both interval endpoints; outcomes are degenerate"
         )
     width = upper - lower
     c_n = np.array(
-        [critical_value_cn(w, s, cfg.n, alpha) for w, s in zip(width.tolist(), sigma.tolist())]
+        [critical_value_cn(w, s, alpha) for w, s in zip(width.tolist(), se.tolist())]
     )
-    ext = c_n * (sigma / math.sqrt(cfg.n))
+    ext = c_n * se
     cs_lower, cs_upper = lower - ext, upper + ext
     covered = (cs_lower <= cfg.mu) & (cfg.mu <= cs_upper)
     return np.column_stack((covered, width, cs_upper - cs_lower))
@@ -635,12 +636,6 @@ class CheckReport:
         }
 
 
-def _did_se(panel: TwoPeriodPanel) -> float:
-    """Standard error of the DID contrast (identity transform)."""
-    vc = bound_variances(panel, GTransform.identity(), 0.0, SignRegime(1, 0))
-    return vc.se
-
-
 def decomposition_check(cfg: DgpConfig, variant: str = "benchmark") -> CheckReport:
     """One large-n draw: the DID contrast against its predicted bias.
 
@@ -654,7 +649,7 @@ def decomposition_check(cfg: DgpConfig, variant: str = "benchmark") -> CheckRepo
     else:
         raise ValueError(f"unknown variant {variant!r}")
     m_hat = did_estimand(panel, GTransform.identity())
-    se = _did_se(panel)
+    se = contrast_se(panel, GTransform.identity())
     passed = abs(m_hat - truth.predicted_m) <= 3.0 * se
     return CheckReport(
         name=f"decomposition/{variant}",

@@ -5,17 +5,27 @@ import pytest
 
 from antebounds.altbounds import (
     OutcomeBounds,
-    _common_term_weighted,
     bounded_outcome_set,
     common_term,
     trimming_set,
 )
 from antebounds.bounds import SignRegime, did_estimand, identified_set_benchmark
-from antebounds.panel import GTransform, TwoPeriodPanel
+from antebounds.panel import GTransform, TwoPeriodPanel, group_stats
 
 from test_panel import make_panel, random_panel
 
 IDY = GTransform.identity()
+
+
+def _common_term_weighted(panel: TwoPeriodPanel, g: GTransform) -> float:
+    """T as the direct propensity-weighted sample mean; algebraically equal
+    to :func:`common_term`, the oracle it is checked against."""
+    p = panel.n_treated / panel.n
+    g1 = g.apply(panel.y1)
+    g0 = g.apply(panel.y0)
+    d = panel.d.astype(float)
+    w = (d - p) / (p * (1.0 - p)) * g1 + (1.0 - d) / (1.0 - p) * g0
+    return float(w.mean())
 
 
 class TestOutcomeBounds:
@@ -34,6 +44,29 @@ class TestCommonTerm:
             a = common_term(panel, IDY)
             b = _common_term_weighted(panel, IDY)
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_same_bits_as_group_means(self):
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            panel = random_panel(rng, n=int(rng.integers(6, 80)))
+            gs = group_stats(panel, IDY)
+            assert common_term(panel, IDY) == float(
+                gs.delta[1, 1] - gs.delta[0, 1] + gs.delta[0, 0]
+            )
+
+    def test_one_unit_per_group(self):
+        # only means enter T, so a lone control (or treated) unit is enough
+        panel = make_panel([5, 1, 2, 3], [7, 2, 4, 3], [0, 1, 1, 1])
+        assert common_term(panel, IDY) == pytest.approx(_common_term_weighted(panel, IDY))
+        assert common_term(panel, IDY) == pytest.approx(3.0 - 7.0 + 5.0)
+        iv = bounded_outcome_set(panel, IDY, OutcomeBounds(0.0, 10.0))
+        assert iv.as_tuple() == (pytest.approx(-9.0), pytest.approx(1.0))
+        trim = trimming_set(panel, IDY, 0.3)
+        assert trim.lower <= trim.upper
+        lone_treated = make_panel([1, 2, 3, 4], [2, 4, 3, 9], [1, 0, 0, 0])
+        assert common_term(lone_treated, IDY) == pytest.approx(
+            _common_term_weighted(lone_treated, IDY)
+        )
 
     def test_hand_value(self):
         # treated (1,3), control (0,1): T = (3 - 1) + 0 = 2

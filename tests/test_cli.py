@@ -552,8 +552,8 @@ class TestSingleTreatedStratum:
 
 class TestInferContrastSe:
     def test_t_statistic_keeps_its_bits(self, capsys, tmp_path):
-        from antebounds.bounds import SignRegime, did_estimand
-        from antebounds.inference import bound_variances
+        from antebounds.bounds import did_estimand
+        from antebounds.inference import contrast_se
         from antebounds.panel import GTransform, load_two_period
 
         rng = np.random.default_rng(5)
@@ -569,5 +569,26 @@ class TestInferContrastSe:
         assert code == 0
         panel = load_two_period(path.read_text(), "wide")
         g = GTransform.identity()
-        se_m = bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
-        assert json.loads(out)["results"]["t_tilde"] == did_estimand(panel, g) / se_m
+        assert json.loads(out)["results"]["t_tilde"] == did_estimand(panel, g) / contrast_se(panel, g)
+
+    def test_panel_and_matching_summary_report_the_same_sigma(self, capsys, tmp_path):
+        rng = np.random.default_rng(9)
+        rows = ["unit_id,y0,y1,d"] + [
+            f"u{i},{a!r},{b + 0.3 * (i % 2)!r},{i % 2}"
+            for i, (a, b) in enumerate(rng.normal(size=(400, 2)).tolist())
+        ]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(rows) + "\n")
+        flags = ["--pi", "const:0.4", "--sign-mu", "neg", "--sign-tau", "neg", "--format", "json"]
+        code, out, _ = run(capsys, ["infer", "--input", str(path)] + flags)
+        assert code == 0
+        panel = json.loads(out)["results"]
+        m_hat, se_m = panel["m_hat"], panel["sigma"]["se_m"]
+        code, out, _ = run(capsys, ["infer", "--summary", f"m={m_hat!r}", f"se={se_m!r}"] + flags)
+        assert code == 0
+        summary = json.loads(out)["results"]
+        assert summary["confidence_set"] == panel["confidence_set"]
+        assert summary["sigma"] == panel["sigma"]
+        assert set(panel["sigma"]) == {"se_l", "se_u", "se_m", "se"}
+        assert panel["sigma"]["se"] == max(panel["sigma"]["se_l"], panel["sigma"]["se_u"])
+        assert summary["t_tilde"] == panel["t_tilde"]

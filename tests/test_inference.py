@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antebounds.bounds import SignRegime, identified_set_benchmark
 from antebounds.inference import (
@@ -14,6 +16,7 @@ from antebounds.inference import (
     VarianceComponents,
     bound_variances,
     contrast_moments,
+    contrast_se,
     confidence_set,
     critical_value_cn,
     robust_null_check,
@@ -37,20 +40,20 @@ TSTAR_95 = 3.2991469042756099
 
 class TestCriticalValue:
     def test_zero_width_is_two_sided(self):
-        assert critical_value_cn(0.0, 1.0, 1, 0.95) == pytest.approx(CN_AT_ZERO, abs=1e-5)
+        assert critical_value_cn(0.0, 1.0, 0.95) == pytest.approx(CN_AT_ZERO, abs=1e-5)
 
     def test_wide_interval_is_one_sided(self):
-        assert critical_value_cn(1e6, 1.0, 1, 0.95) == pytest.approx(
+        assert critical_value_cn(1e6, 1.0, 0.95) == pytest.approx(
             Z_ONE_SIDED, abs=1e-4
         )
 
     def test_unit_ratio(self):
         # root of Phi(C + 1) - Phi(-C) = 0.95
-        assert critical_value_cn(1.0, 1.0, 1, 0.95) == pytest.approx(CN_AT_ONE, abs=1e-6)
+        assert critical_value_cn(1.0, 1.0, 0.95) == pytest.approx(CN_AT_ONE, abs=1e-6)
 
     def test_residual_of_returned_root(self):
         for ratio in (0.0, 0.3, 1.0, 2.7, 10.0):
-            c = critical_value_cn(ratio, 1.0, 1, 0.95)
+            c = critical_value_cn(ratio, 1.0, 0.95)
             residual = std_normal_cdf(c + ratio) - std_normal_cdf(-c) - 0.95
             assert abs(residual) < 1e-8
 
@@ -59,21 +62,21 @@ class TestCriticalValue:
         lo, hi = std_normal_quantile(alpha), std_normal_quantile((1 + alpha) / 2)
         prev = math.inf
         for ratio in np.linspace(0.0, 100.0, 60):
-            c = critical_value_cn(float(ratio), 1.0, 1, alpha)
+            c = critical_value_cn(float(ratio), 1.0, alpha)
             assert lo - 1e-8 <= c <= hi + 1e-8
             assert c <= prev + 1e-9
             prev = c
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            critical_value_cn(0.0, 1.0, 1, 0.4)
+            critical_value_cn(0.0, 1.0, 0.4)
         with pytest.raises(ValueError):
-            critical_value_cn(0.0, 1.0, 1, 1.0)
+            critical_value_cn(0.0, 1.0, 1.0)
 
-    def test_scaling_by_n_and_sigma(self):
-        # only sqrt(n)*delta/sigma matters
-        a = critical_value_cn(0.5, 2.0, 100, 0.95)
-        b = critical_value_cn(0.5 * math.sqrt(100) / 2.0, 1.0, 1, 0.95)
+    def test_scaling_by_se(self):
+        # only delta/se matters
+        a = critical_value_cn(0.5, 0.2, 0.95)
+        b = critical_value_cn(2.5, 1.0, 0.95)
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -97,12 +100,14 @@ class TestTstar:
 class TestBoundVariances:
     def test_hand_value(self):
         # treated diffs {1, 3}, control diffs {0, 2}: each variance 2,
-        # p-hat 0.5 -> contrast-scale variance 2/0.5 + 2/0.5 = 8
+        # p-hat 0.5 -> contrast-scale variance 2/0.5 + 2/0.5 = 8, so the
+        # contrast SE is sqrt(8/4)
         panel = make_panel([0, 0, 0, 0], [1, 3, 0, 2], [1, 1, 0, 0])
         vc = bound_variances(panel, GTransform.identity(), 0.5, OPP)
-        assert vc.sigma_u == pytest.approx(math.sqrt(8.0))
-        assert vc.sigma_l == pytest.approx(math.sqrt(8.0) / 1.5)
-        assert vc.sigma == vc.sigma_u
+        assert vc.se_m == pytest.approx(math.sqrt(2.0))
+        assert vc.se_u == pytest.approx(math.sqrt(2.0))
+        assert vc.se_l == pytest.approx(math.sqrt(2.0) / 1.5)
+        assert vc.se == vc.se_u
 
     def test_hand_value_nonzero_covariance(self):
         # treated (y0, y1) in {(0,1), (2,5)}: var(y1) = 8, var(y0) = 2,
@@ -112,26 +117,22 @@ class TestBoundVariances:
         gs = group_stats(panel, GTransform.identity())
         assert gs.cov[1] == pytest.approx(4.0)
         vc = bound_variances(panel, GTransform.identity(), 0.5, OPP)
-        assert vc.sigma_u == pytest.approx(math.sqrt(8.0))
+        assert vc.se_u == pytest.approx(math.sqrt(2.0))
 
     @pytest.mark.parametrize("epsilon", [None, 0.3])
     def test_contrast_se_from_the_same_pass(self, epsilon):
         panel = random_panel(np.random.default_rng(12), n=50)
         g = GTransform.identity()
         vc = bound_variances(panel, g, 0.4, OPP, epsilon=epsilon)
-        assert vc.se_m == bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
-
-    def test_contrast_se_needs_sigma_m(self):
-        with pytest.raises(ValueError, match="contrast"):
-            VarianceComponents(sigma_l=1.0, sigma_u=1.0, n=4).se_m
+        assert vc.se_m == contrast_se(panel, g)
 
     def test_scaled_regime_divisor(self):
         panel = make_panel([0, 0, 0, 0], [1, 3, 0, 2], [1, 1, 0, 0])
         vc = bound_variances(panel, GTransform.identity(), 0.5, SAME)
         # 1/(1-pi) scale: the scaled endpoint is the upper one and dominates
-        assert vc.sigma_u == pytest.approx(math.sqrt(8.0) / 0.5)
-        assert vc.sigma_l == pytest.approx(math.sqrt(8.0))
-        assert vc.sigma == vc.sigma_u
+        assert vc.se_u == pytest.approx(math.sqrt(2.0) / 0.5)
+        assert vc.se_l == pytest.approx(math.sqrt(2.0))
+        assert vc.se == vc.se_u
 
     def test_constant_diffs_zero_variance(self):
         # diffs constant within both groups -> contrast variance 0
@@ -182,23 +183,23 @@ class TestContrastMoments:
 
 class TestConfidenceSet:
     def test_point_identified_limit(self):
-        vc = VarianceComponents(sigma_l=1.0, sigma_u=1.0, n=1)
+        vc = VarianceComponents(se_l=1.0, se_u=1.0, se_m=1.0)
         cs = confidence_set(0.4, 0.4, vc, 0.95)
         assert cs.lower == pytest.approx(0.4 - CN_AT_ZERO, abs=1e-5)
         assert cs.upper == pytest.approx(0.4 + CN_AT_ZERO, abs=1e-5)
 
     def test_contains_interval(self):
-        vc = VarianceComponents(sigma_l=0.5, sigma_u=1.0, n=25)
+        vc = VarianceComponents(se_l=0.1, se_u=0.2, se_m=0.1)
         cs = confidence_set(0.1, 0.9, vc, 0.95)
         assert cs.lower < 0.1 and cs.upper > 0.9
 
     def test_ordering_enforced(self):
-        vc = VarianceComponents(sigma_l=1.0, sigma_u=1.0, n=4)
+        vc = VarianceComponents(se_l=0.5, se_u=0.5, se_m=0.5)
         with pytest.raises(ValueError, match="ordered"):
             confidence_set(1.0, 0.0, vc, 0.95)
 
     def test_monotone_in_alpha(self):
-        vc = VarianceComponents(sigma_l=0.8, sigma_u=1.0, n=50)
+        vc = VarianceComponents(se_l=0.08, se_u=0.1, se_m=0.08)
         inner = confidence_set(0.2, 0.5, vc, 0.90)
         outer = confidence_set(0.2, 0.5, vc, 0.95)
         assert outer.lower < inner.lower and inner.upper < outer.upper
@@ -270,8 +271,58 @@ class TestEndToEndPanelInference:
         vc = bound_variances(panel, g, 0.4, OPP)
         cs = confidence_set(interval.lower, interval.upper, vc, 0.95)
         # summary mode with the matching SE reproduces the same set
-        se_m = bound_variances(panel, g, 0.0, SignRegime(1, 0)).se
-        interval2, cs2 = summary_mode_infer(m, se_m, 0.4, None, OPP, 0.95)
+        interval2, cs2 = summary_mode_infer(m, contrast_se(panel, g), 0.4, None, OPP, 0.95)
         assert interval2.lower == pytest.approx(interval.lower, abs=1e-12)
         assert cs2.lower == pytest.approx(cs.lower, abs=1e-10)
         assert cs2.upper == pytest.approx(cs.upper, abs=1e-10)
+
+
+# (m_hat, se, pi, epsilon, regime, alpha) over the whole valid domain
+MAGNITUDES = st.floats(1e-6, 1e3)
+CORE_INPUTS = st.tuples(
+    st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x)),
+    MAGNITUDES,
+    st.floats(0.0, 0.99),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    st.builds(SignRegime, st.sampled_from([1, -1]), st.sampled_from([1, 0, -1])),
+    st.floats(0.51, 0.999),
+)
+
+
+class TestCoreProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(CORE_INPUTS)
+    def test_ordered_interval_inside_its_confidence_set(self, args):
+        m, se, pi, eps, regime, alpha = args
+        interval, cs = summary_mode_infer(m, se, pi, eps, regime, alpha)
+        assert interval.lower <= interval.upper
+        assert cs.lower <= interval.lower and interval.upper <= cs.upper
+        vc = cs.components
+        assert vc.se_m == se and vc.se == max(vc.se_l, vc.se_u) > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.floats(1e-3, 1e3), st.floats(0.51, 0.999)
+    )
+    def test_cn_between_quantiles_and_nonincreasing(self, r1, r2, se, alpha):
+        lo, hi = std_normal_quantile(alpha), std_normal_quantile((1 + alpha) / 2)
+        narrow, wide = sorted((r1, r2))
+        c_narrow = critical_value_cn(narrow * se, se, alpha)
+        c_wide = critical_value_cn(wide * se, se, alpha)
+        for c in (c_narrow, c_wide):
+            assert lo - 1e-9 <= c <= hi + 1e-9
+        assert c_wide <= c_narrow + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(CORE_INPUTS)
+    def test_negating_the_outcome_scale_mirrors_everything(self, args):
+        m, se, pi, eps, regime, alpha = args
+        interval, cs = summary_mode_infer(m, se, pi, eps, regime, alpha)
+        mirror, mcs = summary_mode_infer(-m, se, pi, eps, regime.negated(), alpha)
+        assert (mirror.lower, mirror.upper) == (-interval.upper, -interval.lower)
+        assert (mcs.lower, mcs.upper) == (-cs.upper, -cs.lower)
+        assert mcs.c_n == cs.c_n
+        vc, mvc = cs.components, mcs.components
+        assert mvc.se == vc.se and mvc.se_m == vc.se_m
+        if m != 0.0:  # at m = 0 both endpoints are 0 and their labels a tie
+            assert (mvc.se_l, mvc.se_u) == (vc.se_u, vc.se_l)

@@ -94,6 +94,11 @@ class TestLoaders:
         assert panel.cohort_share_up_to(2) == 0.5
         assert np.isinf(panel.cohorts).sum() == 1
 
+    def test_cohort_unreadable_row_names_it(self):
+        text = "unit_id,t,y,e\na,1,0.0,inf\n\na,2,1.0,inf\nb,1," + "9" * 200_000 + ",inf\n"
+        with pytest.raises(PanelFormatError, match=r"field larger than field limit.*\(row: 4\)"):
+            load_cohort(text)
+
     def test_cohort_requires_never_treated(self):
         text = "unit_id,t,y,e\na,1,0.0,2\na,2,1.0,2\n"
         with pytest.raises(PanelFormatError, match="never-treated"):

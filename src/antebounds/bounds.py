@@ -383,27 +383,34 @@ def sensitivity_sweep(
 
     Output is ordered by pi then epsilon so the rows plot directly against
     the anticipation-probability axis.  ``n`` is not used: ``se`` already
-    reflects the sample size.
+    reflects the sample size.  Each row equals :func:`summary_mode_infer`
+    at its grid point bit for bit; the points are checked in that order,
+    and C_n is then solved for the whole grid in one call.
     """
-    from .inference import summary_mode_infer  # local import: inference builds on bounds
+    # local import: inference builds on bounds
+    from .inference import (
+        _check_alpha,
+        _check_contrast,
+        _extend,
+        _interval_and_components,
+        critical_value_cn,
+    )
 
-    if se <= 0.0:
-        raise ValueError(f"standard error must be positive, got {se}")
-    rows = []
+    _check_alpha(alpha)
+    _check_contrast(m, se)
     ordered = sorted(grid, key=lambda pe: (pe[0], -math.inf if pe[1] is None else pe[1]))
-    for pi, eps in ordered:
-        interval, cs = summary_mode_infer(m, se, pi, eps, regime, alpha)
-        rows.append(
-            SweepRow(
-                pi=pi,
-                epsilon=eps,
-                set_lower=interval.lower,
-                set_upper=interval.upper,
-                cs_lower=cs.lower,
-                cs_upper=cs.upper,
-            )
+    lower, upper, se_ext = (np.empty(len(ordered)) for _ in range(3))
+    for i, (pi, eps) in enumerate(ordered):
+        interval, vc = _interval_and_components(m, se, pi, eps, regime)
+        lower[i], upper[i], se_ext[i] = interval.lower, interval.upper, vc.se
+    c_n = critical_value_cn(upper - lower, se_ext, alpha)
+    cs_lower, cs_upper = _extend(lower, upper, c_n, se_ext)
+    return [
+        SweepRow(pi=pi, epsilon=eps, set_lower=lo, set_upper=hi, cs_lower=cl, cs_upper=cu)
+        for (pi, eps), lo, hi, cl, cu in zip(
+            ordered, lower.tolist(), upper.tolist(), cs_lower.tolist(), cs_upper.tolist()
         )
-    return rows
+    ]
 
 
 def robustness_cutoff(rows: Sequence[SweepRow]) -> float | None:

@@ -322,7 +322,8 @@ def _add_infer_flags(p: argparse.ArgumentParser) -> None:
     _add_estimate_flags(p)
     p.add_argument("--alpha", type=float, default=0.95)
     p.add_argument("--summary", nargs="+", metavar="k=v",
-                   help="summary-statistics mode: m=<v> se=<v> [n=<v>]")
+                   help="summary-statistics mode: m=<v> se=<v> [n=<v>]; n is only "
+                        "recorded in the manifest, since se already reflects the sample size")
 
 
 def _contrast(args):

@@ -30,7 +30,14 @@ from .bounds import (
     identified_set_benchmark,
     identified_set_imperfect,
 )
-from .numerics import Bracket, solve_monotone, std_normal_cdf, std_normal_quantile
+from .numerics import (
+    Bracket,
+    solve_monotone,
+    solve_monotone_elementwise,
+    std_normal_cdf,
+    std_normal_cdf_array,
+    std_normal_quantile,
+)
 from .panel import GTransform, TwoPeriodPanel
 
 __all__ = [
@@ -185,25 +192,44 @@ def bound_variances(
     )
 
 
-def critical_value_cn(delta_hat: float, se: float, alpha: float) -> float:
+def critical_value_cn(delta_hat, se, alpha: float):
     """Critical value solving Phi(C + delta/se) - Phi(-C) = alpha.
 
     Monotone in C, so bisection on a bracket slightly padding the analytic
     range [Phi^-1(alpha), Phi^-1((1+alpha)/2)] always converges.
+    ``delta_hat`` and ``se`` may be arrays (broadcast together): every
+    element is solved in one elementwise bisection, with the bits a scalar
+    call for that element gives.  Scalars in, a float out.
     """
     _check_alpha(alpha)
-    if se <= 0.0:
-        raise ValueError(f"se must be positive, got {se}")
-    if delta_hat < 0.0:
-        raise ValueError(f"interval width must be nonnegative, got {delta_hat}")
-    ratio = delta_hat / se
+    delta = np.asarray(delta_hat, dtype=float)
+    se = np.asarray(se, dtype=float)
+    for name, x in (("interval width", delta), ("se", se)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)].flat[0]}")
+    if (se <= 0.0).any():
+        raise ValueError(f"se must be positive, got {se[se <= 0.0].flat[0]}")
+    if (delta < 0.0).any():
+        raise ValueError(f"interval width must be nonnegative, got {delta[delta < 0.0].flat[0]}")
+    with np.errstate(over="ignore"):
+        ratio = delta / se
+    if not np.isfinite(ratio).all():
+        raise ValueError("interval width / se overflows; the standard error is too small")
     lo = std_normal_quantile(alpha) - 0.1
     hi = std_normal_quantile((1.0 + alpha) / 2.0) + 0.1
 
-    def gap(c: float) -> float:
-        return std_normal_cdf(c + ratio) - std_normal_cdf(-c) - alpha
+    def gap(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return std_normal_cdf_array(c + r) - std_normal_cdf_array(-c) - alpha
 
-    return solve_monotone(gap, Bracket(lo, hi, tol=1e-10))
+    roots = solve_monotone_elementwise(gap, Bracket(lo, hi, tol=1e-10), ratio.ravel())
+    return float(roots[0]) if ratio.ndim == 0 else roots.reshape(ratio.shape)
+
+
+def _extend(lower, upper, c_n, se):
+    """Confidence-set endpoints: [lower, upper] widened by c_n * se on each
+    side (scalars or arrays)."""
+    ext = c_n * se
+    return lower - ext, upper + ext
 
 
 def confidence_set(
@@ -217,10 +243,10 @@ def confidence_set(
         )
     delta_hat = mu_u_hat - mu_l_hat
     c_n = critical_value_cn(delta_hat, vc.se, alpha)
-    ext = c_n * vc.se
+    lower, upper = _extend(mu_l_hat, mu_u_hat, c_n, vc.se)
     return ConfidenceSet(
-        lower=mu_l_hat - ext,
-        upper=mu_u_hat + ext,
+        lower=lower,
+        upper=upper,
         c_n=c_n,
         alpha=alpha,
         delta_hat=delta_hat,
@@ -278,16 +304,34 @@ def summary_mode_infer(
     given.  The confidence set carries these standard errors as
     ``components``.
     """
-    if se <= 0.0:
-        raise ValueError(f"standard error must be positive, got {se}")
+    _check_contrast(m_hat, se)
+    interval, vc = _interval_and_components(m_hat, se, pi, epsilon, regime)
+    return interval, confidence_set(interval.lower, interval.upper, vc, alpha)
+
+
+def _check_contrast(m_hat: float, se: float) -> None:
+    """A DID contrast and its SE must be finite, the SE positive."""
+    if not math.isfinite(m_hat):
+        raise ValueError(f"contrast m_hat must be finite, got {m_hat}")
+    if not (math.isfinite(se) and se > 0.0):
+        raise ValueError(f"standard error must be finite and positive, got {se}")
+
+
+def _interval_and_components(
+    m_hat: float, se: float, pi: float, epsilon: float | None, regime: SignRegime
+) -> tuple[IdentifiedInterval, VarianceComponents]:
+    """The identified set at (pi, epsilon) and its endpoint SEs: the part of
+    :func:`summary_mode_infer` before C_n."""
     if epsilon is None:
         interval = identified_set_benchmark(m_hat, pi, regime)
     else:
         interval = identified_set_imperfect(m_hat, pi, epsilon, regime)
-    vc = _endpoint_components(m_hat, se, pi, regime, epsilon)
-    return interval, confidence_set(interval.lower, interval.upper, vc, alpha)
+    return interval, _endpoint_components(m_hat, se, pi, regime, epsilon)
 
 
 def _check_alpha(alpha: float) -> None:
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"confidence level must lie in (0.5, 1), got {alpha}")
+    if (1.0 + alpha) / 2.0 == 1.0:
+        # the two-sided quantile Phi^-1((1+alpha)/2) would be infinite
+        raise ValueError(f"confidence level {alpha} is too close to 1")

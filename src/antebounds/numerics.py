@@ -1,10 +1,11 @@
-"""Scalar normal CDF/quantile and bracketed monotone root solving.
+"""Normal CDF/quantile and bracketed monotone root solving.
 
 The standard-normal CDF and quantile come from the standard library
 (``math.erfc`` and ``statistics.NormalDist``).  Root solving is plain
 bisection: every target this package solves for (critical values, quantile
 fixed points) is monotone but at best piecewise smooth, and bisection is
-robust and reproducible there.
+robust and reproducible there.  The elementwise forms solve many roots in
+one pass over numpy arrays and give the bits of the scalar ones.
 """
 
 from __future__ import annotations
@@ -13,12 +14,16 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
+import numpy as np
+
 __all__ = [
     "Bracket",
     "NoRootInBracketError",
     "std_normal_cdf",
+    "std_normal_cdf_array",
     "std_normal_quantile",
     "solve_monotone",
+    "solve_monotone_elementwise",
 ]
 
 
@@ -57,6 +62,16 @@ def std_normal_cdf(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"std_normal_cdf requires finite input, got {x}")
     return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
+    """:func:`std_normal_cdf` of each element of a finite 1-D array.
+
+    ``math.erfc`` runs on every element, so each value has the bits of the
+    scalar function; the caller guarantees finite input.
+    """
+    t = -x / _SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, t.tolist()), float, t.size)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -109,10 +124,8 @@ def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
     if fhi == 0.0:
         return hi, lo, hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise NoRootInBracketError(
-            f"no root in bracket [{lo}, {hi}]: f has the same sign at both endpoints"
-        )
-    n_iter = max(1, math.ceil(math.log2((hi - lo) / tol)))
+        raise _no_root(lo, hi)
+    n_iter = _bisection_steps(lo, hi, tol)
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
@@ -125,3 +138,69 @@ def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi), lo, hi
+
+
+def _bisection_steps(lo: float, hi: float, tol: float) -> int:
+    return max(1, math.ceil(math.log2((hi - lo) / tol)))
+
+
+def _no_root(lo: float, hi: float) -> NoRootInBracketError:
+    return NoRootInBracketError(
+        f"no root in bracket [{lo}, {hi}]: f has the same sign at both endpoints"
+    )
+
+
+def solve_monotone_elementwise(f, bracket: Bracket, params: np.ndarray) -> np.ndarray:
+    """Roots of the weakly monotone functions x -> f(x, p), one for each
+    element p of the 1-D array ``params``, on one bracket, by bisection.
+
+    ``f`` maps a float array of points and the equally long array of their
+    parameters to the function values.  Each element takes exactly the
+    steps :func:`solve_monotone` takes on ``lambda x: f(x, p)``: the same
+    midpoints, the same exact-zero and ``hi - lo <= tol`` exits (tracked
+    per element) and the same step count, so when ``f`` computes each
+    element with the scalar arithmetic the roots have the scalar solver's
+    bits.
+
+    Raises
+    ------
+    NoRootInBracketError
+        If any of the functions has the same (nonzero) sign at both ends.
+    """
+    lo, hi, tol = bracket.lo, bracket.hi, bracket.tol
+    size = params.size
+    flo = f(np.full(size, lo), params)
+    fhi = f(np.full(size, hi), params)
+    root = np.empty(size)
+    at_lo = flo == 0.0
+    at_hi = ~at_lo & (fhi == 0.0)
+    root[at_lo] = lo
+    root[at_hi] = hi
+    open_ = ~(at_lo | at_hi)
+    if ((flo > 0.0) == (fhi > 0.0))[open_].any():
+        raise _no_root(lo, hi)
+    # the elements still bisecting: their indices, parameters and brackets
+    active = np.flatnonzero(open_)
+    params, flo = params[open_], flo[open_]
+    lo_a = np.full(active.size, lo)
+    hi_a = np.full(active.size, hi)
+    for _ in range(_bisection_steps(lo, hi, tol)):
+        if active.size == 0:
+            break
+        mid = 0.5 * (lo_a + hi_a)
+        fmid = f(mid, params)
+        up = (fmid > 0.0) == (flo > 0.0)
+        lo_a = np.where(up, mid, lo_a)
+        hi_a = np.where(up, hi_a, mid)
+        flo = np.where(up, fmid, flo)
+        zero = fmid == 0.0
+        done = zero | (hi_a - lo_a <= tol)
+        if done.any():
+            root[active[zero]] = mid[zero]
+            closed = done & ~zero
+            root[active[closed]] = 0.5 * (lo_a[closed] + hi_a[closed])
+            keep = ~done
+            active, params = active[keep], params[keep]
+            lo_a, hi_a, flo = lo_a[keep], hi_a[keep], flo[keep]
+    root[active] = 0.5 * (lo_a + hi_a)
+    return root

@@ -32,6 +32,8 @@ from .bounds import (
 from .cic import CicData
 from .inference import (
     DegenerateVarianceError,
+    _check_alpha,
+    _extend,
     contrast_moments,
     contrast_se,
     critical_value_cn,
@@ -446,13 +448,15 @@ def generate_cic(cfg: CicDgpConfig) -> CicData:
 
 @dataclass(frozen=True)
 class GridPointResult:
-    """Per-grid-point coverage, its Monte Carlo SE, and average set lengths."""
+    """Per-grid-point coverage, its Monte Carlo SE, average set lengths and
+    the average critical value C_n."""
 
     lam: float
     coverage: float
     coverage_se: float
     mean_set_length: float
     mean_cs_length: float
+    mean_c_n: float
     reps: int
     falsification: bool
 
@@ -492,15 +496,15 @@ REPLICATION_BLOCK = 32
 
 
 def _coverage_block(job) -> np.ndarray:
-    """(covered, interval width, CS length) for replications start..stop-1.
+    """(interval lower, interval upper, extension SE) for replications
+    start..stop-1.
 
     Each replication draws from its own derive_seed generator, exactly as
     :func:`generate_two_period` would, and only its outcome changes and
-    treatment indicators are kept; moments, intervals and confidence sets
-    are then computed for the whole block at once.  C_n is solved per
-    replication.
+    treatment indicators are kept; moments, intervals and endpoint SEs are
+    then computed for the whole block at once.
     """
-    cfg, pi, alpha, start, stop = job
+    cfg, pi, start, stop = job
     dy = np.empty((stop - start, cfg.n))
     d = np.empty((stop - start, cfg.n), dtype=bool)
     for row, rep in enumerate(range(start, stop)):
@@ -516,14 +520,49 @@ def _coverage_block(job) -> np.ndarray:
         raise DegenerateVarianceError(
             "zero variance for both interval endpoints; outcomes are degenerate"
         )
-    width = upper - lower
-    c_n = np.array(
-        [critical_value_cn(w, s, alpha) for w, s in zip(width.tolist(), se.tolist())]
-    )
-    ext = c_n * se
-    cs_lower, cs_upper = lower - ext, upper + ext
-    covered = (cs_lower <= cfg.mu) & (cfg.mu <= cs_upper)
-    return np.column_stack((covered, width, cs_upper - cs_lower))
+    return np.column_stack((lower, upper, se))
+
+
+def _point_tables(
+    cfg_grid: Sequence[DgpConfig],
+    pi_for_estimator: float,
+    alpha: float,
+    reps: int,
+    workers: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(table, C_n) per grid point: the (reps, 3) table of
+    :func:`coverage_replications` and the replications' critical values.
+
+    C_n is solved once per grid point, over its replications in order.
+    """
+    _check_alpha(alpha)
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    starts = range(0, reps, REPLICATION_BLOCK)
+    jobs = [
+        (cfg, pi_for_estimator, start, min(start + REPLICATION_BLOCK, reps))
+        for cfg in cfg_grid
+        for start in starts
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            blocks = list(
+                pool.map(_coverage_block, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+            )
+    else:
+        blocks = [_coverage_block(job) for job in jobs]
+    k = len(starts)
+    out = []
+    for cfg, i in zip(cfg_grid, range(0, len(blocks), k)):
+        lower, upper, se = np.concatenate(blocks[i : i + k]).T
+        width = upper - lower
+        c_n = critical_value_cn(width, se, alpha)
+        cs_lower, cs_upper = _extend(lower, upper, c_n, se)
+        covered = (cs_lower <= cfg.mu) & (cfg.mu <= cs_upper)
+        out.append((np.column_stack((covered, width, cs_upper - cs_lower)), c_n))
+    return out
 
 
 def coverage_replications(
@@ -542,25 +581,9 @@ def coverage_replications(
     count.  Pool workers are spawned, not forked, so a script calling this
     with workers > 1 needs an ``if __name__ == "__main__":`` guard.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    starts = range(0, reps, REPLICATION_BLOCK)
-    jobs = [
-        (cfg, pi_for_estimator, alpha, start, min(start + REPLICATION_BLOCK, reps))
-        for cfg in cfg_grid
-        for start in starts
+    return [
+        table for table, _ in _point_tables(cfg_grid, pi_for_estimator, alpha, reps, workers)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            blocks = list(
-                pool.map(_coverage_block, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
-            )
-    else:
-        blocks = [_coverage_block(job) for job in jobs]
-    k = len(starts)
-    return [np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)]
 
 
 def coverage_study(
@@ -585,9 +608,10 @@ def coverage_study(
                 f"the assumptions for pi={pi_for_estimator}; tag it falsification "
                 "if that is intentional"
             )
-    tables = coverage_replications(cfg_grid, pi_for_estimator, alpha, reps, workers)
     points = []
-    for cfg, arr in zip(cfg_grid, tables):
+    for cfg, (arr, c_n) in zip(
+        cfg_grid, _point_tables(cfg_grid, pi_for_estimator, alpha, reps, workers)
+    ):
         coverage = float(arr[:, 0].mean())
         points.append(
             GridPointResult(
@@ -596,6 +620,7 @@ def coverage_study(
                 coverage_se=math.sqrt(coverage * (1.0 - coverage) / reps),
                 mean_set_length=float(arr[:, 1].mean()),
                 mean_cs_length=float(arr[:, 2].mean()),
+                mean_c_n=float(c_n.mean()),
                 reps=reps,
                 falsification=cfg.falsification,
             )

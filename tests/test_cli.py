@@ -374,7 +374,10 @@ class TestSimulate:
                 "--seed", "21", "--coverage-threshold", "0.5"]
         _, out1, _ = run(capsys, base + ["--workers", "1"])
         _, out2, _ = run(capsys, base + ["--workers", "2"])
-        assert out1 == out2
+        _, out3, _ = run(capsys, base + ["--workers", "3"])
+        assert out1 == out2 == out3
+        for point in json.loads(out1)["results"]["points"]:
+            assert 1.6448 < point["mean_c_n"] < 1.9600
 
     def test_falsification_flagged_but_exit_zero(self, capsys):
         code, out, _ = run(capsys, [
@@ -529,6 +532,27 @@ class TestExitContract:
         assert code == 2
         assert "Infinity" not in out and "NaN" not in out
         assert err == f"error: --summary {bad.split('=')[0]} must be finite, got {bad.split('=')[1]!r}\n"
+
+
+class TestSummaryN:
+    @pytest.mark.parametrize("command", ["infer", "sensitivity"])
+    def test_n_is_only_recorded(self, capsys, command):
+        outs = {}
+        for n in ("5", "5000"):
+            argv = [command, "--summary", "m=0.013", "se=0.0046", f"n={n}",
+                    "--pi", "const:0.5", "--format", "json"]
+            if command == "sensitivity":
+                argv += ["--pi-grid", "0.1,0.5,0.7", "--epsilon-grid", "0,0.5"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            outs[n] = json.loads(out)
+        assert outs["5"]["results"] == outs["5000"]["results"]
+        assert outs["5"]["manifest"] != outs["5000"]["manifest"]
+
+    def test_help_says_so(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["infer", "--help"])
+        assert "only recorded in the manifest" in " ".join(capsys.readouterr().out.split())
 
 
 class TestSingleTreatedStratum:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antebounds.bounds import SignRegime, identified_set_benchmark
+from antebounds.bounds import SignRegime, identified_set_benchmark, sensitivity_sweep
 from antebounds.inference import (
     NOT_ROBUST,
     ROBUSTLY_REJECTED,
@@ -95,6 +95,33 @@ class TestTstar:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             tstar(0.5)
+
+    def test_alpha_whose_two_sided_level_rounds_to_one(self):
+        alpha = 1.0 - 2.0**-53  # (1 + alpha) / 2 rounds to 1.0
+        for f in (tstar, lambda a: critical_value_cn(1.0, 1.0, a)):
+            with pytest.raises(ValueError, match="too close to 1"):
+                f(alpha)
+        assert tstar(1.0 - 2.0**-52) > tstar(0.999999)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.5, 1.0, exclude_min=True, exclude_max=True).filter(
+            lambda a: (1.0 + a) / 2.0 < 1.0
+        ),
+        st.floats(0.5, 1.0, exclude_min=True, exclude_max=True).filter(
+            lambda a: (1.0 + a) / 2.0 < 1.0
+        ),
+    )
+    def test_root_of_its_equation_and_increasing(self, a1, a2):
+        t1, t2 = tstar(a1), tstar(a2)
+        for alpha, t in ((a1, t1), (a2, t2)):
+            assert abs(std_normal_cdf(t) - std_normal_cdf(-t / 2) - alpha) <= 1e-9
+        (lo, t_lo), (hi, t_hi) = sorted(((a1, t1), (a2, t2)))
+        # the roots are within the 1e-10 bisection tolerance of the true,
+        # strictly increasing t*; dt*/dalpha exceeds 1.6 everywhere
+        assert t_lo <= t_hi + 2e-10
+        if hi - lo > 1e-6:
+            assert t_lo < t_hi
 
 
 class TestBoundVariances:
@@ -255,6 +282,47 @@ class TestSummaryMode:
     def test_se_domain(self):
         with pytest.raises(ValueError, match="positive"):
             summary_mode_infer(1.0, 0.0, 0.5, None, OPP, 0.95)
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_critical_value_cn(self, bad):
+        with pytest.raises(ValueError, match="interval width must be finite"):
+            critical_value_cn(bad, 1.0, 0.95)
+        with pytest.raises(ValueError, match="se must be finite"):
+            critical_value_cn(1.0, bad, 0.95)
+        with pytest.raises(ValueError, match="interval width must be finite"):
+            critical_value_cn(np.array([0.5, bad, 1.0]), np.ones(3), 0.95)
+        with pytest.raises(ValueError, match="se must be finite"):
+            critical_value_cn(np.ones(2), np.array([1.0, bad]), 0.95)
+
+    def test_critical_value_cn_ratio_overflow(self):
+        with pytest.raises(ValueError, match="overflows"):
+            critical_value_cn(1e300, 1e-300, 0.95)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_summary_mode_infer(self, bad):
+        with pytest.raises(ValueError, match="m_hat must be finite"):
+            summary_mode_infer(bad, 0.1, 0.3, None, OPP, 0.95)
+        with pytest.raises(ValueError, match="standard error must be finite"):
+            summary_mode_infer(1.0, bad, 0.3, None, OPP, 0.95)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_sensitivity_sweep(self, bad):
+        with pytest.raises(ValueError, match="m_hat must be finite"):
+            sensitivity_sweep(bad, 0.1, 1, [(0.3, None)], OPP, 0.95)
+        with pytest.raises(ValueError, match="standard error must be finite"):
+            sensitivity_sweep(1.0, bad, 1, [(0.3, None)], OPP, 0.95)
+
+    def test_overflowing_width(self):
+        # a finite contrast whose scaled endpoint overflows to inf
+        with pytest.raises(ValueError, match="interval width must be finite"):
+            summary_mode_infer(1e308, 0.1, 0.9, None, SAME, 0.95)
+        with pytest.raises(ValueError, match="interval width must be finite"):
+            sensitivity_sweep(1e308, 0.1, 1, [(0.0, None), (0.9, None)], SAME, 0.95)
 
 
 class TestEndToEndPanelInference:

@@ -10,7 +10,9 @@ from antebounds.numerics import (
     NoRootInBracketError,
     _bisect,
     solve_monotone,
+    solve_monotone_elementwise,
     std_normal_cdf,
+    std_normal_cdf_array,
     std_normal_quantile,
 )
 
@@ -136,3 +138,46 @@ class TestSolveMonotone:
     def test_decreasing_function(self):
         root = solve_monotone(lambda x: 3.0 - x, Bracket(0.0, 10.0, tol=1e-10))
         assert root == pytest.approx(3.0, abs=1e-10)
+
+
+class TestElementwise:
+    """One bisection over arrays against one scalar bisection per element."""
+
+    def _agree(self, f, bracket, params):
+        params = np.asarray(params, dtype=float)
+        roots = solve_monotone_elementwise(f, bracket, params)
+        scalar = [solve_monotone(lambda x, p=p: float(f(np.array([x]), np.array([p]))[0]), bracket)
+                  for p in params.tolist()]
+        assert [r.hex() for r in roots.tolist()] == [r.hex() for r in scalar]
+        return roots
+
+    def test_cdf_array_has_scalar_bits(self):
+        x = np.concatenate([np.linspace(-9.0, 9.0, 201), [0.0, -0.0, 1e-300, -40.0]])
+        assert [v.hex() for v in std_normal_cdf_array(x).tolist()] == [
+            std_normal_cdf(v).hex() for v in x.tolist()
+        ]
+
+    def test_exact_zero_exits_per_element(self):
+        # roots at the bracket ends and at dyadic midpoints hit f == 0
+        # exactly, at different steps for different elements
+        params = [0.0, 1.0, 0.5, 0.25, 0.375, 0.3, 2.0 / 3.0, 0.999]
+        roots = self._agree(lambda x, p: x - p, Bracket(0.0, 1.0, tol=1e-12), params)
+        assert roots[:5].tolist() == params[:5]
+
+    def test_tolerance_exit_per_element(self):
+        # a coarse tolerance ends elements at different steps
+        rng = np.random.default_rng(5)
+        self._agree(lambda x, p: x**3 - p, Bracket(-1.0, 2.0, tol=0.01), rng.uniform(-0.9, 7.9, 64))
+
+    def test_decreasing_functions(self):
+        self._agree(lambda x, p: p - x, Bracket(0.0, 10.0), [0.0, 3.0, 9.5, 10.0])
+
+    def test_empty(self):
+        roots = solve_monotone_elementwise(lambda x, p: x - p, Bracket(0.0, 1.0), np.empty(0))
+        assert roots.shape == (0,)
+
+    def test_no_root_in_any_element(self):
+        with pytest.raises(NoRootInBracketError, match="no root in bracket"):
+            solve_monotone_elementwise(
+                lambda x, p: x - p, Bracket(0.0, 1.0), np.array([0.5, 2.0, 0.1])
+            )

@@ -331,6 +331,19 @@ class TestBlockEngine:
         with pytest.raises(ValueError, match="insufficient group size"):
             coverage_replications([cfg], 0.4, 0.95, B)
 
+    def test_mean_c_n_in_replication_order(self):
+        cfg = DgpConfig(n=200, mu=0.2, tau=-0.2, lam=0.3, seed=67)
+        regime, reps = cfg.regime(), B + 5
+        c_n = []
+        for rep in range(reps):
+            panel = generate_two_period(replace(cfg, seed=derive_seed(cfg.seed, rep)))
+            interval = identified_set_benchmark(did_estimand(panel, IDY), 0.4, regime)
+            vc = bound_variances(panel, IDY, 0.4, regime)
+            c_n.append(confidence_set(interval.lower, interval.upper, vc, 0.95).c_n)
+        point = coverage_study([cfg], 0.4, 0.95, reps).points[0]
+        assert point.mean_c_n == pytest.approx(float(np.mean(c_n)), rel=1e-12)
+        assert point.to_dict()["mean_c_n"] == point.mean_c_n
+
     def test_rows_keyed_by_replication_index(self):
         # a replication's row depends on its index only, not on the grid
         # around it or on where the last block ends

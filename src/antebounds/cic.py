@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,13 +139,19 @@ class CicData:
             return -math.inf
         return self.control_t1.quantile(min(p, 1.0))
 
-    def control_map_vec(self, y: np.ndarray) -> np.ndarray:
-        p = self.control_t0.cdf(np.asarray(y, dtype=float))
-        out = np.full(p.shape, -np.inf)
-        ok = p > 0.0
-        if ok.any():
-            out[ok] = self.control_t1.quantile_vec(np.minimum(p[ok], 1.0))
-        return out
+    @cached_property
+    def control_map_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The control map by rank, built on first use: ``(v, h)``.
+
+        ``v`` is the sorted control pre-period sample padded with -inf and
+        +inf, so ``searchsorted(sample, y, 'right')`` is r exactly when
+        ``v[r] <= y < v[r + 1]``; for such y, ``control_map(y)`` is
+        ``h[r] = Q01(r/n0)``, with ``h[0] = -inf``.
+        """
+        n0 = self.control_t0.n
+        v = np.concatenate(([-np.inf], self.control_t0.values, [np.inf]))
+        h = self.control_t1.quantile_vec(np.arange(1, n0 + 1) / n0)
+        return v, np.concatenate(([-np.inf], h))
 
 
 def counterfactual_quantile(
@@ -201,11 +208,19 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     """Closest-to-zero root of Q11(q) - Q01(F00(Q10(q) -+ x)) - x = 0.
 
     The composition is a step function of x, so between consecutive
-    breakpoints (one per control pre-period sample) the residual is
-    exactly linear with slope -1 in x and the in-segment root is solved
+    breakpoints (one per distinct control pre-period value) the residual
+    is exactly linear with slope -1 in x and the in-segment root is solved
     in closed form.  Segments are scanned outward from zero over the
     sign-matching half of [-B, B], B the pooled data range; the first
     verified root wins.  Returns None when no sign-matching root exists.
+
+    The breakpoints come from the sorted control sample, so they are
+    already monotone and need no sort.  A segment's control map is
+    ``h[r]`` from ``CicData.control_map_table``, with r the number of
+    control values at or below the segment midpoint.  The rank follows
+    from where the segment sits among the breakpoints; it is checked
+    against the padded sample, and only a midpoint that rounding moved
+    across a sample value (a segment a few ulps wide) is binary-searched.
     """
     _check_q(q)
     if side not in ("upper", "lower"):
@@ -229,14 +244,32 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     if big == 0.0:
         return None
 
-    cuts = c * (data.control_t0.values - u0)
-    cuts = cuts[(cuts > 0.0) & (cuts < big)]
-    grid = np.unique(np.concatenate((np.array([0.0, big]), cuts)))
+    values = data.control_t0.values
+    n0 = values.size
+    cuts = c * (values - u0)  # ascending when c > 0, descending when c < 0
+    if c < 0:
+        cuts = cuts[::-1]
+    lo = int(np.searchsorted(cuts, 0.0, side="right"))
+    hi = int(np.searchsorted(cuts, big, side="left"))
+    inner = cuts[lo:hi]  # the cuts in (0, big), ascending, ties adjacent
+    new = np.ones(inner.size + 1, dtype=bool)  # new[i]: inner[i] starts a tie group
+    new[1:-1] = inner[1:] != inner[:-1]
+    starts = np.flatnonzero(new)  # tie-group starts, then inner.size
+    grid = np.concatenate(([0.0], inner[starts[:-1]], [big]))
     seg_lo, seg_hi = grid[:-1], grid[1:]
     mids = 0.5 * (seg_lo + seg_hi)
-    h = data.control_map_vec(u0 + c * mids)
-    with np.errstate(invalid="ignore"):
-        w_cand = sign_mu * (a_q - h)  # root of the in-segment linear residual
+    y = u0 + c * mids
+    # Control values at or below y: those whose cut lies at or below the
+    # segment (c > 0), or at or above it (c < 0).
+    if c > 0:
+        rank = lo + np.concatenate(([0], starts[1:]))
+    else:
+        rank = n0 - lo - starts
+    v, h = data.control_map_table
+    off = (v[rank] > y) | (y >= v[rank + 1])
+    if off.any():
+        rank[off] = np.searchsorted(values, y[off], side="right")
+    w_cand = sign_mu * (a_q - h[rank])  # root of the in-segment linear residual
     ok = np.isfinite(w_cand) & (w_cand >= seg_lo - tol) & (w_cand <= seg_hi + tol)
     for i in np.flatnonzero(ok):  # segments are ordered outward from zero
         w = float(np.clip(w_cand[i], 0.0, big))

@@ -150,10 +150,10 @@ def resolve_workers(requested: int, cpu_count: int | None) -> int:
     return min(requested, cpu_count or 1)
 
 
-def _load_panel(args):
+def _load_panel(path: str, layout: str):
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return load_two_period(fh, layout=args.layout)
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_two_period(fh, layout=layout)
     except OSError as exc:
         raise CliError(f"cannot read --input: {exc}") from None
 
@@ -194,8 +194,8 @@ def _manifest(command: str, config: dict, input_digest: dict, outputs, seed=None
     return manifest
 
 
-def _emit_json(manifest: dict, results: dict) -> None:
-    print(json.dumps({"manifest": manifest, "results": results}, sort_keys=True, indent=2))
+def _json_report(manifest: dict, results: dict) -> str:
+    return json.dumps({"manifest": manifest, "results": results}, sort_keys=True, indent=2)
 
 
 def _fmt(x, nd: int = 6) -> str:
@@ -216,25 +216,30 @@ def _interval_text(interval) -> str:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
+def _add_contrast_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every command that reads a DID contrast from a panel."""
     p.add_argument("--input", help="panel CSV path")
     p.add_argument("--layout", default="wide", choices=("wide", "long"))
     p.add_argument("--g", default="identity", help="identity | indicator:<u>")
-    p.add_argument("--pi", default="treatment-ratio",
-                   help="const:<v> | treatment-ratio | stratum")
     p.add_argument("--sign-mu", default="pos", help="pos | neg")
     p.add_argument("--sign-tau", default="neg", help="pos | neg | zero")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="wrong-anticipation rate (imperfect-anticipation bounds)")
     p.add_argument("--auto-flip-sign", action="store_true",
                    help="flip the declared sign of mu to match the estimate")
     p.add_argument("--format", default="text", choices=("text", "json"))
 
 
+def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
+    _add_contrast_flags(p)
+    p.add_argument("--pi", default="treatment-ratio",
+                   help="const:<v> | treatment-ratio | stratum")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="wrong-anticipation rate (imperfect-anticipation bounds)")
+
+
 def _estimate_payload(args):
     if not args.input:
         raise CliError("--input is required")
-    panel = _load_panel(args)
+    panel = _load_panel(args.input, args.layout)
     g = _parse_g(args.g)
     pi_bound = _parse_pi(args.pi)
     regime = _parse_regime(args.sign_mu, args.sign_tau)
@@ -280,7 +285,7 @@ def _estimate_payload(args):
     return panel, regime, g, digest, results
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[int, str]:
     panel, regime, g, digest, results = _estimate_payload(args)
     config = {
         "g": args.g,
@@ -293,37 +298,40 @@ def cmd_estimate(args) -> int:
     }
     manifest = _manifest("estimate", config, digest, results.keys())
     if args.format == "json":
-        _emit_json(manifest, results)
-        return EXIT_OK
+        return EXIT_OK, _json_report(manifest, results)
     _print_warnings(results["warnings"])
     if "strata" in results:
-        print(f"g: {results['g']}   pi policy: per-stratum treatment ratio")
+        lines = [f"g: {results['g']}   pi policy: per-stratum treatment ratio"]
         for label, entry in results["strata"].items():
             iv = entry["interval"]
-            print(
+            lines.append(
                 f"  stratum {label}: m-hat {_fmt(entry['m_hat'])}  pi {_fmt(entry['pi'])}  "
                 f"set [{_fmt(iv['lower'])}, {_fmt(iv['upper'])}]"
             )
-        return EXIT_OK
+        return EXIT_OK, "\n".join(lines)
     iv = results["interval"]
-    print(f"m-hat: {_fmt(results['m_hat'])}")
-    print(f"pi:    {_fmt(results['pi'])} ({results['pi_policy']})")
-    print(f"signs: {results['regime']}")
-    tag = iv["theorem_tag"]
-    print(f"identified set ({tag}): [{_fmt(iv['lower'])}, {_fmt(iv['upper'])}]")
-    return EXIT_OK
+    return EXIT_OK, "\n".join([
+        f"m-hat: {_fmt(results['m_hat'])}",
+        f"pi:    {_fmt(results['pi'])} ({results['pi_policy']})",
+        f"signs: {results['regime']}",
+        f"identified set ({iv['theorem_tag']}): [{_fmt(iv['lower'])}, {_fmt(iv['upper'])}]",
+    ])
 
 
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------
 
-def _add_infer_flags(p: argparse.ArgumentParser) -> None:
-    _add_estimate_flags(p)
+def _add_summary_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.95)
     p.add_argument("--summary", nargs="+", metavar="k=v",
                    help="summary-statistics mode: m=<v> se=<v> [n=<v>]; n is only "
                         "recorded in the manifest, since se already reflects the sample size")
+
+
+def _add_infer_flags(p: argparse.ArgumentParser) -> None:
+    _add_estimate_flags(p)
+    _add_summary_flags(p)
 
 
 def _contrast(args):
@@ -334,7 +342,7 @@ def _contrast(args):
         return summ["m"], summ["se"], None, {"summary": summ}
     if not args.input:
         raise CliError("either --input or --summary is required")
-    panel = _load_panel(args)
+    panel = _load_panel(args.input, args.layout)
     g = _parse_g(args.g)
     digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
     return did_estimand(panel, g), contrast_se(panel, g), panel, digest
@@ -377,7 +385,7 @@ def _infer_payload(args):
     return digest, results
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> tuple[int, str]:
     digest, results = _infer_payload(args)
     config = {
         "g": args.g,
@@ -392,21 +400,20 @@ def cmd_infer(args) -> int:
     }
     manifest = _manifest("infer", config, digest, results.keys())
     if args.format == "json":
-        _emit_json(manifest, results)
-        return EXIT_OK
+        return EXIT_OK, _json_report(manifest, results)
     _print_warnings(results["warnings"])
     iv = results["interval"]
     cs = results["confidence_set"]
-    print(f"m-hat: {_fmt(results['m_hat'])}   pi: {_fmt(results['pi'])}   signs: {results['regime']}")
-    print(f"identified set ({iv['theorem_tag']}): [{_fmt(iv['lower'])}, {_fmt(iv['upper'])}]")
-    print(
+    lines = [
+        f"m-hat: {_fmt(results['m_hat'])}   pi: {_fmt(results['pi'])}   signs: {results['regime']}",
+        f"identified set ({iv['theorem_tag']}): [{_fmt(iv['lower'])}, {_fmt(iv['upper'])}]",
         f"confidence set ({cs['alpha']:g}): [{_fmt(cs['lower'])}, {_fmt(cs['upper'])}]"
-        f"   C_n {_fmt(cs['c_n'])}"
-    )
-    print(f"t-statistic (no anticipation): {_fmt(results['t_tilde'])}")
+        f"   C_n {_fmt(cs['c_n'])}",
+        f"t-statistic (no anticipation): {_fmt(results['t_tilde'])}",
+    ]
     if results["robust_null"] is not None:
-        print(f"zero-effect null: {results['robust_null']}")
-    return EXIT_OK
+        lines.append(f"zero-effect null: {results['robust_null']}")
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +421,14 @@ def cmd_infer(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_sensitivity_flags(p: argparse.ArgumentParser) -> None:
-    _add_infer_flags(p)
+    """The infer flags without --pi and --epsilon, which the grids replace."""
+    _add_contrast_flags(p)
+    _add_summary_flags(p)
     p.add_argument("--pi-grid", required=True, help="comma-separated pi values")
     p.add_argument("--epsilon-grid", default=None, help="comma-separated epsilon values")
 
 
-def cmd_sensitivity(args) -> int:
+def cmd_sensitivity(args) -> tuple[int, str]:
     regime = _parse_regime(args.sign_mu, args.sign_tau)
     pis = _parse_float_list(args.pi_grid, "--pi-grid")
     eps_grid = (
@@ -458,15 +467,14 @@ def cmd_sensitivity(args) -> int:
             "robustness_cutoff_pi": cutoff,
             "warnings": caught,
         }
-        _emit_json(_manifest("sensitivity", config, digest, results.keys()), results)
-        return EXIT_OK
+        return EXIT_OK, _json_report(_manifest("sensitivity", config, digest, results.keys()), results)
     _print_warnings(caught)
-    print("pi,epsilon,set_l,set_u,cs_l,cs_u")
+    lines = ["pi,epsilon,set_l,set_u,cs_l,cs_u"]
     for r in rows:
         eps = "" if r.epsilon is None else repr(r.epsilon)
-        print(f"{r.pi!r},{eps},{r.set_lower!r},{r.set_upper!r},{r.cs_lower!r},{r.cs_upper!r}")
-    print(f"# robustness_cutoff_pi={'none' if cutoff is None else repr(cutoff)}")
-    return EXIT_OK
+        lines.append(f"{r.pi!r},{eps},{r.set_lower!r},{r.set_upper!r},{r.cs_lower!r},{r.cs_upper!r}")
+    lines.append(f"# robustness_cutoff_pi={'none' if cutoff is None else repr(cutoff)}")
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +490,10 @@ def _add_cic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="text", choices=("text", "json"))
 
 
-def cmd_cic(args) -> int:
+def cmd_cic(args) -> tuple[int, str]:
     regime = _parse_regime(args.sign_mu, args.sign_tau)
     qs = _parse_float_list(args.q, "--q")
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            panel = load_two_period(fh, layout="long")
-    except OSError as exc:
-        raise CliError(f"cannot read --input: {exc}") from None
+    panel = _load_panel(args.input, "long")
     data = CicData.from_panel(panel)
     rows = []
     for q in qs:
@@ -516,21 +520,20 @@ def cmd_cic(args) -> int:
     }
     if args.format == "json":
         results = {"rows": rows}
-        _emit_json(_manifest("cic", config, digest, results.keys()), results)
-        return EXIT_OK
-    print("q      m_q        phi_u      phi_l      phi~_u     phi~_l     set")
+        return EXIT_OK, _json_report(_manifest("cic", config, digest, results.keys()), results)
+    lines = ["q      m_q        phi_u      phi_l      phi~_u     phi~_l     set"]
     for r in rows:
         set_txt = (
             "EMPTY identified set (bound candidates cross); reported, not clamped"
             if r["empty"]
             else f"[{_fmt(r['set_l'])}, {_fmt(r['set_u'])}]"
         )
-        print(
+        lines.append(
             f"{r['q']:<6g} {_fmt(r['m_q']):<10} {_fmt(r['phi_u']):<10} "
             f"{_fmt(r['phi_l']):<10} {_fmt(r['phi_tilde_u']):<10} "
             f"{_fmt(r['phi_tilde_l']):<10} {set_txt}"
         )
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +574,7 @@ def _add_simulate_flags(p: argparse.ArgumentParser) -> None:
                    help="tag the run as a falsification study (assumption-violating)")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     scenario = args.scenario
     base = dict(
         n=args.n,
@@ -633,8 +636,7 @@ def cmd_simulate(args) -> int:
         exit_code = EXIT_OK if report.passed else EXIT_THRESHOLD
         config = {"scenario": scenario, "config": cfg.to_dict(), "reps": args.reps}
     manifest = _manifest("simulate", config, {}, results.keys(), seed=args.seed)
-    _emit_json(manifest, results)
-    return exit_code
+    return exit_code, _json_report(manifest, results)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +650,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_estimate_flags(sub.add_parser("estimate", help="identified sets from panel data"))
     _add_infer_flags(sub.add_parser("infer", help="add confidence sets and the robust-null verdict"))
-    _add_sensitivity_flags(sub.add_parser("sensitivity", help="sweep pi (and epsilon) grids"))
+    # No abbreviations here: argparse would read --pi as --pi-grid and
+    # --epsilon as --epsilon-grid.
+    _add_sensitivity_flags(
+        sub.add_parser("sensitivity", help="sweep pi (and epsilon) grids", allow_abbrev=False)
+    )
     _add_cic_flags(sub.add_parser("cic", help="changes-in-changes quantile bounds"))
     _add_simulate_flags(sub.add_parser("simulate", help="seeded Monte Carlo studies"))
     return parser
@@ -667,7 +673,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code, report = _HANDLERS[args.command](args)
+        try:
+            print(report, flush=True)
+        except BrokenPipeError:
+            # The reader closed stdout early (`... | head`), which is no
+            # defect.  Point stdout at os.devnull so that the flush at exit
+            # cannot fail again (the recipe in the Python `signal` docs).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except (CliError, PanelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,10 @@
 """Command-line surface: flags, exit codes, JSON determinism, rendering."""
 
+import io
 import json
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -216,7 +219,7 @@ class TestSensitivity:
     def test_figure_reproduction(self, capsys):
         code, out, _ = run(capsys, [
             "sensitivity", "--summary", "m=0.013", "se=0.0046",
-            "--pi", "const:0.5", "--sign-mu", "pos", "--sign-tau", "neg",
+            "--sign-mu", "pos", "--sign-tau", "neg",
             "--alpha", "0.95", "--pi-grid", "0.1,0.25,0.5,0.57,0.75,0.9",
         ])
         assert code == 0
@@ -228,7 +231,7 @@ class TestSensitivity:
         grid = ",".join(f"{x:.3f}" for x in np.arange(0.60, 0.80, 0.005))
         code, out, _ = run(capsys, [
             "sensitivity", "--summary", "m=0.013", "se=0.0046",
-            "--pi", "const:0.5", "--sign-mu", "pos", "--sign-tau", "neg",
+            "--sign-mu", "pos", "--sign-tau", "neg",
             "--pi-grid", grid, "--format", "json",
         ])
         cutoff = json.loads(out)["results"]["robustness_cutoff_pi"]
@@ -238,7 +241,7 @@ class TestSensitivity:
     def test_single_zero_grid_matches_infer(self, capsys):
         code, out, _ = run(capsys, [
             "sensitivity", "--summary", "m=0.5", "se=0.1",
-            "--pi", "const:0", "--sign-mu", "pos", "--sign-tau", "neg",
+            "--sign-mu", "pos", "--sign-tau", "neg",
             "--pi-grid", "0", "--format", "json",
         ])
         row = json.loads(out)["results"]["rows"][0]
@@ -253,7 +256,7 @@ class TestSensitivity:
     def test_epsilon_zero_matches_plain(self, capsys):
         base = [
             "sensitivity", "--summary", "m=1.0", "se=0.2",
-            "--pi", "const:0.4", "--sign-mu", "pos", "--sign-tau", "neg",
+            "--sign-mu", "pos", "--sign-tau", "neg",
             "--format", "json",
         ]
         _, out_plain, _ = run(capsys, base + ["--pi-grid", "0.4"])
@@ -489,7 +492,7 @@ class TestPanelModeExtras:
 
     def test_sensitivity_from_panel(self, capsys, noisy_csv):
         code, out, _ = run(capsys, [
-            "sensitivity", "--input", noisy_csv, "--pi", "const:0.4",
+            "sensitivity", "--input", noisy_csv,
             "--sign-mu", "pos", "--sign-tau", "neg",
             "--pi-grid", "0.1,0.3,0.5", "--format", "json",
         ])
@@ -498,6 +501,41 @@ class TestPanelModeExtras:
         assert [r["pi"] for r in rows] == [0.1, 0.3, 0.5]
         lowers = [r["set_l"] for r in rows]
         assert lowers[0] > lowers[1] > lowers[2]
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises, as on a pipe
+    that ``head`` closed.  ``fileno`` is a real descriptor, so the CLI can
+    point it at os.devnull."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv, verdict", [
+        (["sensitivity", "--summary", "m=0.013", "se=0.0046", "--pi-grid", "0.1,0.5",
+          "--format", "json"], 0),
+        (["infer", "--summary", "m=0.5", "se=0.1", "--pi", "const:0.3"], 0),
+        (["simulate", "--scenario", "benchmark", "--n", "200", "--reps", "50",
+          "--seed", "13", "--coverage-threshold", "0.9999"], 1),
+    ])
+    def test_verdict_kept_and_stdout_discarded(self, capsys, monkeypatch, tmp_path, argv, verdict):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+            code = main(argv)
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == verdict
+        assert capsys.readouterr().err == ""
 
 
 class TestExitContract:
@@ -524,10 +562,8 @@ class TestExitContract:
     def test_non_finite_summary_is_usage_error(self, capsys, command, bad):
         good = {"m": "m=1", "se": "se=0.2"}
         good[bad.split("=")[0]] = bad
-        argv = [command, "--summary", good["m"], good["se"], "--pi", "const:0.3",
-                "--format", "json"]
-        if command == "sensitivity":
-            argv += ["--pi-grid", "0.1,0.2"]
+        argv = [command, "--summary", good["m"], good["se"], "--format", "json"]
+        argv += ["--pi-grid", "0.1,0.2"] if command == "sensitivity" else ["--pi", "const:0.3"]
         code, out, err = run(capsys, argv)
         assert code == 2
         assert "Infinity" not in out and "NaN" not in out
@@ -539,10 +575,11 @@ class TestSummaryN:
     def test_n_is_only_recorded(self, capsys, command):
         outs = {}
         for n in ("5", "5000"):
-            argv = [command, "--summary", "m=0.013", "se=0.0046", f"n={n}",
-                    "--pi", "const:0.5", "--format", "json"]
+            argv = [command, "--summary", "m=0.013", "se=0.0046", f"n={n}", "--format", "json"]
             if command == "sensitivity":
                 argv += ["--pi-grid", "0.1,0.5,0.7", "--epsilon-grid", "0,0.5"]
+            else:
+                argv += ["--pi", "const:0.5"]
             code, out, _ = run(capsys, argv)
             assert code == 0
             outs[n] = json.loads(out)

@@ -111,13 +111,22 @@ def invocations(draw):
     prefix = [command]
     if command in ("infer", "sensitivity") and draw(st.booleans()):
         prefix += ["--summary", "m=0.013", "se=0.0046"]
-        if command == "infer" or draw(st.booleans()):
+        if command == "infer":
             flags = flags + ["--pi", "const:0.5"]
     else:
         prefix += ["--input", "{csv}"]
         if layout == "long" and command != "cic":
             prefix += ["--layout", "long"]
     return csv_text, draw(argv_mutations(prefix + flags))
+
+
+@pytest.mark.parametrize("flags", [["--pi", "banana"], ["--pi", "const:0.5"], ["--epsilon", "0.2"]])
+def test_sensitivity_rejects_infer_only_flags(capsys, flags):
+    argv = ["sensitivity", "--summary", "m=0.013", "se=0.0046", "--pi-grid", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import warnings
+from functools import partial
 
 from . import __version__
 from .bounds import (
@@ -648,15 +649,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"antebounds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_estimate_flags(sub.add_parser("estimate", help="identified sets from panel data"))
-    _add_infer_flags(sub.add_parser("infer", help="add confidence sets and the robust-null verdict"))
-    # No abbreviations here: argparse would read --pi as --pi-grid and
-    # --epsilon as --epsilon-grid.
-    _add_sensitivity_flags(
-        sub.add_parser("sensitivity", help="sweep pi (and epsilon) grids", allow_abbrev=False)
-    )
-    _add_cic_flags(sub.add_parser("cic", help="changes-in-changes quantile bounds"))
-    _add_simulate_flags(sub.add_parser("simulate", help="seeded Monte Carlo studies"))
+    # No abbreviations: argparse would read a flag that prefixes another,
+    # such as sensitivity's --pi or simulate's --lambda, as the longer one.
+    add = partial(sub.add_parser, allow_abbrev=False)
+    _add_estimate_flags(add("estimate", help="identified sets from panel data"))
+    _add_infer_flags(add("infer", help="add confidence sets and the robust-null verdict"))
+    _add_sensitivity_flags(add("sensitivity", help="sweep pi (and epsilon) grids"))
+    _add_cic_flags(add("cic", help="changes-in-changes quantile bounds"))
+    _add_simulate_flags(add("simulate", help="seeded Monte Carlo studies"))
     return parser
 
 

@@ -13,8 +13,8 @@ import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress, count, filterfalse, islice
-from typing import Callable, Sequence
+from itertools import chain, compress, count, filterfalse, islice, repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,16 +92,23 @@ class GTransform:
         return self.kind
 
 
+def _distinct(ids: Sequence) -> bool:
+    """Whether the ids are distinct; a range is, by construction."""
+    return isinstance(ids, range) or len(set(ids)) == len(ids)
+
+
 @dataclass(frozen=True)
 class TwoPeriodPanel:
     """Unit-level outcomes for the two-period design.
 
     Holds the observed outcomes at t=0 and t=1 and the treatment indicator.
     Anticipation status is deliberately absent: it is unobservable and only
-    synthetic data-generating processes know it.
+    synthetic data-generating processes know it.  ``unit_ids`` holds
+    distinct labels; a ``range`` (as generated panels use) is taken as
+    distinct without a check.
     """
 
-    unit_ids: tuple
+    unit_ids: Sequence
     y0: np.ndarray
     y1: np.ndarray
     d: np.ndarray
@@ -116,7 +123,7 @@ class TwoPeriodPanel:
             raise PanelFormatError("panel columns must have one entry per unit")
         if self.strata is not None and len(self.strata) != n:
             raise PanelFormatError("stratum column must have one entry per unit")
-        if len(set(self.unit_ids)) != n:
+        if not _distinct(self.unit_ids):
             raise PanelFormatError("unit_id values must be unique")
         if not (np.isfinite(self.y0).all() and np.isfinite(self.y1).all()):
             raise PanelFormatError("outcomes must be finite reals")
@@ -184,9 +191,10 @@ class CohortPanel:
 
     ``outcomes`` is (n_units, T) with periods 1..T; ``cohorts`` holds the
     first treatment period per unit, ``inf`` for never-treated.
+    ``unit_ids`` holds distinct labels, as in :class:`TwoPeriodPanel`.
     """
 
-    unit_ids: tuple
+    unit_ids: Sequence
     outcomes: np.ndarray
     cohorts: np.ndarray
 
@@ -198,7 +206,7 @@ class CohortPanel:
             raise PanelFormatError("outcomes must be an (n_units, T) matrix")
         if self.outcomes.shape[1] < 2:
             raise PanelFormatError("cohort panel needs at least two periods")
-        if len(set(self.unit_ids)) != n:
+        if not _distinct(self.unit_ids):
             raise PanelFormatError("unit_id values must be unique")
         if not np.isfinite(self.outcomes).all():
             raise PanelFormatError("outcomes must be finite reals")
@@ -322,17 +330,20 @@ def _parse_t(raw: str, row_num: int) -> int:
     return int(raw)
 
 
-def _open_reader(source) -> csv.DictReader:
+def _open_reader(source) -> tuple[csv.DictReader, Iterator[str]]:
+    """A DictReader that has read the header, and the line iterator it
+    reads from, positioned at the first line after the header."""
     if isinstance(source, (str, bytes)):
         source = io.StringIO(source if isinstance(source, str) else source.decode())
-    reader = csv.DictReader(source)
+    lines = iter(source)
+    reader = csv.DictReader(lines)
     try:
         fieldnames = reader.fieldnames
     except csv.Error as exc:
         raise PanelFormatError(f"unreadable CSV row: {exc}", row=1) from None
     if fieldnames is None:
         raise PanelFormatError("empty input: no header row")
-    return reader
+    return reader, lines
 
 
 def _require_columns(reader: csv.DictReader, required: Sequence[str]) -> None:
@@ -355,32 +366,45 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
     """
     if layout not in ("wide", "long"):
         raise ValueError(f"layout must be 'wide' or 'long', got {layout!r}")
-    reader = _open_reader(source)
+    reader, lines = _open_reader(source)
     if layout == "wide":
-        return _load_wide(reader)
-    return _load_long(reader)
+        return _load_wide(reader, lines)
+    return _load_long(reader, lines)
 
 
 # Rows parsed per chunk: large enough that per-chunk numpy calls cost
-# little, small enough that the chunk's row lists and strings stay a few
-# MiB whatever the file size.
+# little, small enough that the chunk's lines and strings stay a few MiB
+# whatever the file size.
 CHUNK_ROWS = 32768
 
 _BINARY = frozenset(("0", "1"))
 
 
-def _column_chunks(reader: csv.DictReader, names: Sequence[str]):
+def _column_chunks(reader: csv.DictReader, lines: Iterator[str], names: Sequence[str]):
     """Yield ``(row number of the first row, columns)`` for the named
-    columns, CHUNK_ROWS csv rows at a time.
+    columns, CHUNK_ROWS rows at a time.
 
-    Matches csv.DictReader: blank rows are skipped and not numbered, a
-    repeated header name reads its last column, and a field beyond the end
-    of a short row reads as None.
+    A chunk that csv would read as plain comma-separated lines is split
+    on commas (``_split_on_commas``).  From the first chunk that is not,
+    csv reads the rest of the input, since a quoted field may span lines.
+    Either way the result matches csv.DictReader: blank rows are skipped
+    and not numbered, a repeated header name reads its last column, and a
+    field beyond the end of a short row reads as None.
     """
     where = {name: j for j, name in enumerate(reader.fieldnames)}
     index = [where[name] for name in names]
-    rows_in = reader.reader
     row_num = 2
+    while True:
+        chunk = list(islice(lines, CHUNK_ROWS))
+        if not chunk:
+            return
+        columns = _split_on_commas(chunk, index)
+        if columns is None:
+            break
+        yield row_num, columns
+        row_num += len(columns[0])
+    rows_in = csv.reader(chain(chunk, lines))
+    del chunk
     while True:
         rows: list = []
         fault = None
@@ -400,6 +424,51 @@ def _column_chunks(reader: csv.DictReader, names: Sequence[str]):
             # raised after the rows before it are checked, so that a fault
             # in an earlier row is the one reported
             raise PanelFormatError(f"unreadable CSV row: {fault}", row=row_num)
+
+
+# Every byte but the comma, newline, quote, CR and NUL, the ones csv treats
+# specially in a line.
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
+
+
+def _split_on_commas(chunk: list, index: Sequence[int]) -> list | None:
+    """The indexed columns of ``chunk``, a list of lines, split on commas;
+    or None when csv must read it.  A chunk that is split is emptied, so
+    that its lines are freed before the fields are built.
+
+    A chunk is split only when csv would read each line as its
+    comma-separated parts: the lines hold no quote, CR or NUL; each line
+    but the last ends in its only newline; every line has the same number
+    of commas, at least one (so no line is blank); and no line is longer
+    than the csv field size limit.
+    """
+    try:
+        text = "".join(chunk)
+    except TypeError:  # not all lines are str; csv names the fault
+        return None
+    # the special characters of the text in order, as bytes (UTF-8 keeps
+    # ASCII bytes out of every other character's encoding)
+    marks = text.encode("utf-8", "surrogatepass").translate(None, _PLAIN_BYTES)
+    commas = marks.find(b"\n")
+    if commas < 0:
+        commas = len(marks)
+    n = len(chunk)
+    expected = (b"," * commas + b"\n") * n
+    if not chunk[-1].endswith("\n"):
+        expected = expected[:-1]
+    if not commas or marks != expected:
+        return None
+    # with the newline count right, this puts each newline at a line's end
+    if not all(map(str.endswith, islice(chunk, n - 1), repeat("\n"))):
+        return None
+    if max(map(len, chunk)) > csv.field_size_limit():
+        return None
+    chunk.clear()
+    flat = text.replace("\n", ",").split(",")
+    del text
+    width = commas + 1
+    del flat[n * width :]  # the empty field after a final newline
+    return [flat[j::width] if j < width else [None] * n for j in index]
 
 
 def _transpose(rows: list, index: Sequence[int]) -> list:
@@ -434,13 +503,13 @@ def _first_bad_row(
     raise RuntimeError("a column check failed on a chunk whose rows all parse")
 
 
-def _load_wide(reader: csv.DictReader) -> TwoPeriodPanel:
+def _load_wide(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "y0", "y1", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
     names = ("unit_id", "y0", "y1", "d") + (("stratum",) if has_stratum else ())
     parsers = (partial(_parse_float, field="y0"), partial(_parse_float, field="y1"), _parse_d)
     ids, y0s, y1s, ds, strata = [], [], [], [], []
-    for row_num, (uid, y0, y1, d, *stratum) in _column_chunks(reader, names):
+    for row_num, (uid, y0, y1, d, *stratum) in _column_chunks(reader, lines, names):
         try:
             a0, a1 = _floats(y0), _floats(y1)
             ok = np.isfinite(a0).all() and np.isfinite(a1).all() and _BINARY.issuperset(d)
@@ -560,13 +629,13 @@ class _LongUnits:
         )
 
 
-def _load_long(reader: csv.DictReader) -> TwoPeriodPanel:
+def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "t", "y", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
     names = ("unit_id", "t", "y", "d") + (("stratum",) if has_stratum else ())
     parsers = (_parse_t, partial(_parse_float, field="y"), _parse_d)
     units = _LongUnits(has_stratum)
-    for row_num, (uid, t, y, d, *stratum) in _column_chunks(reader, names):
+    for row_num, (uid, t, y, d, *stratum) in _column_chunks(reader, lines, names):
         keys = (uid, t, d, *stratum)
         try:
             ys = _floats(y)
@@ -590,7 +659,7 @@ def load_cohort(source) -> CohortPanel:
     ``e`` is the positive integer first-treatment period or the literal
     token ``inf`` for never-treated units.
     """
-    reader = _open_reader(source)
+    reader, _ = _open_reader(source)
     _require_columns(reader, ("unit_id", "t", "y", "e"))
     records: dict = {}
     order: list = []

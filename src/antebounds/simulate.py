@@ -171,8 +171,7 @@ def _unit_noise(rng: np.random.Generator, cfg: DgpConfig, periods: int = 2) -> n
 
 
 def _panel_from_arrays(cfg: DgpConfig, y0, y1, d) -> TwoPeriodPanel:
-    ids = tuple(f"u{i:07d}" for i in range(cfg.n))
-    return TwoPeriodPanel(unit_ids=ids, y0=y0, y1=y1, d=d.astype(int))
+    return TwoPeriodPanel(unit_ids=range(cfg.n), y0=y0, y1=y1, d=d.astype(int))
 
 
 def _draw_two_period(rng: np.random.Generator, cfg: DgpConfig):
@@ -338,16 +337,7 @@ def generate_staggered(
     probs = probs / probs.sum()
     cohorts = rng.choice(cohorts_values, size=cfg.n, p=probs)
     v = rng.random(cfg.n)
-    if cfg.noise_dist == "normal":
-        draw = lambda size: rng.standard_normal(size)
-    else:
-        scale = math.sqrt((cfg.noise_df - 2.0) / cfg.noise_df)
-        draw = lambda size: rng.standard_t(cfg.noise_df, size) * scale
-    common = draw(cfg.n)[:, None]
-    idio = draw((cfg.n, T))
-    noise = cfg.noise_sd * (
-        math.sqrt(cfg.noise_rho) * common + math.sqrt(1.0 - cfg.noise_rho) * idio
-    )
+    noise = _unit_noise(rng, cfg, periods=T)
     ever = np.isfinite(cohorts)
     base = np.where(ever, cfg.base_means[1], cfg.base_means[0])
     periods = np.arange(1, T + 1)[None, :]
@@ -366,8 +356,7 @@ def generate_staggered(
         + cfg.mu * treated_now
         + cfg.tau * anticipating
     )
-    ids = tuple(f"u{i:07d}" for i in range(cfg.n))
-    panel = CohortPanel(unit_ids=ids, outcomes=outcomes, cohorts=cohorts)
+    panel = CohortPanel(unit_ids=range(cfg.n), outcomes=outcomes, cohorts=cohorts)
     if not return_truth:
         return panel
     truth = PanelTruth(

@@ -25,7 +25,7 @@ from antebounds.panel import (
 
 
 def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
-    reader = _open_reader(source)
+    reader, _ = _open_reader(source)
     if layout == "wide":
         return _load_wide(reader)
     return _load_long(reader)

@@ -129,6 +129,23 @@ def test_sensitivity_rejects_infer_only_flags(capsys, flags):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# a prefix of a longer flag is not read as that flag
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "benchmark", "--lambda", "0.3"],
+        ["estimate", "--input", "panel.csv", "--pi", "const:0.4", "--form", "json"],
+        ["infer", "--input", "panel.csv", "--pi", "const:0.4", "--sign-m", "pos"],
+        ["cic", "--input", "panel.csv", "--q", "0.5", "--pi", "0.3", "--form", "json"],
+    ],
+)
+def test_abbreviated_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "panel.csv"

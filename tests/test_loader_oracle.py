@@ -7,6 +7,9 @@ numbers, out-of-range flags, short and over-long rows, blank lines,
 quoting, CRLF line ends, repeated or inconsistent units and missing
 periods.  Small chunk sizes make short files span several chunks; the
 real chunk size is covered by faults placed around its first boundary.
+Hand-written cases pin the loader's comma-split route: the hand-over to
+csv in mid-file, over-long lines, NUL bytes, a missing final newline and
+list-of-lines sources.
 """
 
 from __future__ import annotations
@@ -44,22 +47,23 @@ def chunk_rows(size: int):
         panel_module.CHUNK_ROWS = saved
 
 
-def assert_same_result(text: str, layout: str) -> None:
+def assert_same_result(source, layout: str) -> None:
+    """``source``: CSV text, or a list of lines."""
     try:
-        expected = loader_oracle.load_two_period(text, layout)
+        expected = loader_oracle.load_two_period(source, layout)
     except csv.Error as exc:
         # the reference had no answer here (it crashed); the loader must
         # still name the fault as a format error
         with pytest.raises(PanelFormatError) as got:
-            load_two_period(text, layout)
+            load_two_period(source, layout)
         assert str(exc) in str(got.value)
         return
     except PanelFormatError as exc:
         with pytest.raises(PanelFormatError) as got:
-            load_two_period(text, layout)
+            load_two_period(source, layout)
         assert (str(got.value), got.value.row, got.value.field) == (str(exc), exc.row, exc.field)
         return
-    got = load_two_period(text, layout)
+    got = load_two_period(source, layout)
     assert got.unit_ids == expected.unit_ids
     assert got.strata == expected.strata
     assert got.y0.tobytes() == expected.y0.tobytes()
@@ -257,3 +261,101 @@ def test_clean_file_spans_several_chunks(layout):
         n, text = CHUNK + 3, long_text(long_lines(CHUNK + 2))
     assert load_two_period(text, layout).n == n
     assert_same_result(text, layout)
+
+
+# --- the comma-split route and its hand-over to csv ------------------------
+
+
+def small_wide(n: int) -> list[str]:
+    return [f"u{i},{i},0.5,{i % 2}" for i in range(n)]
+
+
+def test_quote_in_a_later_chunk_hands_over_to_csv():
+    # the quoted id spans two lines, so csv must read on past its chunk
+    lines = small_wide(12)
+    lines[7] = '"u\n7",7,0.5,1'
+    with chunk_rows(3):
+        assert_same_result(wide_text(lines), "wide")
+        assert load_two_period(wide_text(lines), "wide").unit_ids[7] == "u\n7"
+
+
+@pytest.mark.parametrize("long_field", [False, True])
+def test_line_over_field_size_limit_in_a_later_chunk(long_field):
+    limit = csv.field_size_limit()
+    lines = small_wide(9)
+    if long_field:
+        lines[6] = f"u6,{'0' * (limit + 1)},0,0"
+    else:  # a long line of fields within the limit still parses
+        lines[6] = f"u6,{'0' * (limit // 2)},{'0' * (limit // 2)},0"
+    text = wide_text(lines)
+    with chunk_rows(3):
+        assert_same_result(text, "wide")
+        if long_field:
+            with pytest.raises(PanelFormatError) as got:
+                load_two_period(text, "wide")
+            assert got.value.row == 8
+            assert str(got.value) == (
+                f"unreadable CSV row: field larger than field limit ({limit}) (row: 8)"
+            )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, CHUNK])
+def test_nul_in_a_field(chunk):
+    lines = small_wide(5)
+    lines[3] = "u\x003,3,0.5,1"
+    with chunk_rows(chunk):
+        assert_same_result(wide_text(lines), "wide")
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+@pytest.mark.parametrize("chunk", [1, 3, 4, CHUNK])
+def test_last_line_without_newline(layout, chunk):
+    if layout == "wide":
+        text = wide_text(small_wide(8))
+    else:
+        text = long_text(long_lines(3))
+    with chunk_rows(chunk):
+        assert_same_result(text.removesuffix("\n"), layout)
+
+
+LIST_SOURCES = {
+    "no newlines": ["unit_id,y0,y1,d"] + small_wide(7),
+    "some newlines": ["unit_id,y0,y1,d\n"] + [
+        line + "\n" * (i % 3 == 0) for i, line in enumerate(small_wide(7))
+    ],
+    "two lines in one": ["unit_id,y0,y1,d\n", "u0,0,1,0\nu1,1,1,1\n", "u2,0,1,0\n"],
+    # as many newlines as elements, but one inside an element, which csv rejects
+    "newline inside": ["unit_id,y0,y1,d\n", "u0,0,1,0\nu1,1,1,1", "\n", "u2,0,1,0\n"],
+    "line cut in two": ["unit_id,y0,y1,d\n", "u0,0,", "1,0\n", "u1,1,1,1\n"],
+    "blank element": ["unit_id,y0,y1,d\n", "u0,0,1,0\n", "", "u1,1,1,1\n"],
+    "bytes element": ["unit_id,y0,y1,d\n", "u0,0,1,0\n", b"u1,1,1,1\n"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_SOURCES))
+@pytest.mark.parametrize("chunk", [1, 2, 5, CHUNK])
+def test_list_of_lines_source(name, chunk):
+    with chunk_rows(chunk):
+        assert_same_result(LIST_SOURCES[name], "wide")
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_clean_file_builds_no_csv_reader_for_its_rows(layout, monkeypatch):
+    made = []
+    real_reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        made.append(args)
+        return real_reader(*args, **kwargs)
+
+    monkeypatch.setattr(panel_module.csv, "reader", counting_reader)
+    to_text = wide_text if layout == "wide" else long_text
+    lines = small_wide(10) if layout == "wide" else list(long_lines(5))
+    with chunk_rows(3):
+        load_two_period(to_text(lines), layout)
+        assert len(made) == 1  # the DictReader's, which reads only the header
+        made.clear()
+        # a quoted id in the last chunk: csv reads that chunk only
+        lines[-1] = '"{}",{}'.format(*lines[-1].split(",", 1))
+        load_two_period(to_text(lines), layout)
+        assert len(made) == 2

@@ -271,12 +271,13 @@ def small_wide(n: int) -> list[str]:
 
 
 def test_quote_in_a_later_chunk_hands_over_to_csv():
-    # the quoted id spans two lines, so csv must read on past its chunk
+    # the quoted id opens on the last line of the third chunk and closes
+    # on the next line, so csv must read on past that chunk
     lines = small_wide(12)
-    lines[7] = '"u\n7",7,0.5,1'
+    lines[8] = '"u\n8",8,0.5,1'
     with chunk_rows(3):
         assert_same_result(wide_text(lines), "wide")
-        assert load_two_period(wide_text(lines), "wide").unit_ids[7] == "u\n7"
+        assert load_two_period(wide_text(lines), "wide").unit_ids[8] == "u\n8"
 
 
 @pytest.mark.parametrize("long_field", [False, True])

@@ -14,11 +14,9 @@ against synthetic data with known ground truth.
 from .altbounds import OutcomeBounds, bounded_outcome_set, common_term, trimming_set
 from .bounds import (
     IdentifiedInterval,
-    PiBound,
     SignRegime,
     SweepRow,
     conditional_estimand,
-    conditional_identified_sets,
     did_estimand,
     identified_set_benchmark,
     identified_set_imperfect,

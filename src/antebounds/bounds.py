@@ -16,15 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .panel import CohortPanel, GTransform, TwoPeriodPanel, treatment_ratio
+from .panel import CohortPanel, GTransform, TwoPeriodPanel
 
 __all__ = [
     "SignRegime",
-    "PiBound",
     "IdentifiedInterval",
     "SweepRow",
     "did_estimand",
@@ -34,7 +33,6 @@ __all__ = [
     "staggered_estimand",
     "staggered_pi",
     "conditional_estimand",
-    "conditional_identified_sets",
     "reconcile_regime",
     "sensitivity_sweep",
     "robustness_cutoff",
@@ -77,78 +75,6 @@ class SignRegime:
     def describe(self) -> str:
         names = {1: "pos", -1: "neg", 0: "zero"}
         return f"mu {names[self.sign_mu]}, tau {names[self.sign_tau]}"
-
-
-@dataclass(frozen=True)
-class PiBound:
-    """Policy for the anticipation-probability cap.
-
-    ``constant`` uses a fixed number, ``treatment_ratio`` the empirical
-    treated share (overall or within stratum), ``per_stratum`` an explicit
-    map, and ``staggered`` the discounted cumulative cohort share
-    delta^(e-s) * P[E <= e].
-    """
-
-    kind: str
-    value: float | None = None
-    mapping: Mapping | None = None
-    delta: float | None = None
-
-    @staticmethod
-    def constant(value: float) -> "PiBound":
-        _check_pi(value)
-        return PiBound(kind="constant", value=float(value))
-
-    @staticmethod
-    def from_treatment_ratio() -> "PiBound":
-        return PiBound(kind="treatment_ratio")
-
-    @staticmethod
-    def per_stratum(mapping: Mapping) -> "PiBound":
-        for k, v in mapping.items():
-            _check_pi(v, where=f"stratum {k!r}")
-        return PiBound(kind="per_stratum", mapping=dict(mapping))
-
-    @staticmethod
-    def staggered(delta: float) -> "PiBound":
-        if not (0.0 < delta < 1.0):
-            raise ValueError(f"discount must lie in (0, 1), got {delta}")
-        return PiBound(kind="staggered", delta=float(delta))
-
-    def resolve(
-        self,
-        panel: TwoPeriodPanel | CohortPanel | None = None,
-        stratum=None,
-        e: int | None = None,
-        s: int | None = None,
-    ) -> float:
-        if self.kind == "constant":
-            return self.value  # validated at construction
-        if self.kind == "treatment_ratio":
-            if panel is None:
-                raise ValueError("treatment-ratio policy needs a panel to resolve")
-            if stratum is None:
-                pi = treatment_ratio(panel)
-            else:
-                pi = float(panel.d[panel.stratum_mask(stratum)].mean())
-            _check_pi(pi, where="treatment ratio")
-            return pi
-        if self.kind == "per_stratum":
-            if stratum not in self.mapping:
-                raise ValueError(f"no pi entry for stratum {stratum!r}")
-            return self.mapping[stratum]
-        if self.kind == "staggered":
-            if panel is None or e is None or s is None:
-                raise ValueError("staggered policy needs a cohort panel and (e, s)")
-            return staggered_pi(e, s, self.delta, panel)
-        raise ValueError(f"unknown pi policy {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self.value})"
-        if self.kind == "staggered":
-            return f"staggered(delta={self.delta})"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -324,17 +250,6 @@ def conditional_estimand(panel: TwoPeriodPanel, g: GTransform) -> dict:
         if treated.all() or not treated.any():
             raise ValueError(f"stratum {label!r} lacks comparison group")
         out[label] = _did(panel.y0[mask], panel.y1[mask], treated, g)
-    return out
-
-
-def conditional_identified_sets(
-    panel: TwoPeriodPanel, g: GTransform, pi: PiBound, regime: SignRegime
-) -> dict:
-    """Benchmark interval per stratum, with pi resolved stratum by stratum."""
-    out = {}
-    for label, m in conditional_estimand(panel, g).items():
-        pi_x = pi.resolve(panel=panel, stratum=label if panel.strata is not None else None)
-        out[label] = identified_set_benchmark(m, pi_x, regime)
     return out
 
 

@@ -23,8 +23,8 @@ from functools import partial
 
 from . import __version__
 from .bounds import (
-    PiBound,
     SignRegime,
+    _check_pi,
     conditional_estimand,
     did_estimand,
     identified_set_benchmark,
@@ -41,7 +41,7 @@ from .inference import (
     summary_mode_infer,
 )
 from .numerics import NoRootInBracketError
-from .panel import GTransform, PanelFormatError, load_two_period, treatment_ratio
+from .panel import GTransform, load_two_period, treatment_ratio
 from .simulate import (
     DgpConfig,
     coverage_study,
@@ -72,16 +72,16 @@ def _parse_g(spec: str) -> GTransform:
     raise CliError(f"--g must be 'identity' or 'indicator:<u>', got {spec!r}")
 
 
-def _parse_pi(spec: str) -> PiBound | str:
-    """Returns a PiBound, or the marker string "stratum" for the
-    per-stratum analysis path."""
-    if spec == "treatment-ratio":
-        return PiBound.from_treatment_ratio()
-    if spec == "stratum":
-        return "stratum"
+def _parse_pi(spec: str) -> float | str:
+    """The ``const:<v>`` value, or the name "treatment-ratio" or "stratum"
+    for a cap that the panel resolves."""
+    if spec in ("treatment-ratio", "stratum"):
+        return spec
     if spec.startswith("const:"):
         try:
-            return PiBound.constant(float(spec.split(":", 1)[1]))
+            pi = float(spec.split(":", 1)[1])
+            _check_pi(pi)
+            return pi
         except ValueError as exc:
             raise CliError(f"--pi const: {exc}") from None
     raise CliError(
@@ -152,11 +152,13 @@ def resolve_workers(requested: int, cpu_count: int | None) -> int:
 
 
 def _load_panel(path: str, layout: str):
+    """The panel at ``path`` and the manifest's digest of it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_two_period(fh, layout=layout)
+            panel = load_two_period(fh, layout=layout)
     except OSError as exc:
         raise CliError(f"cannot read --input: {exc}") from None
+    return panel, {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
 
 
 def _jsonable(x):
@@ -240,24 +242,20 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
 def _estimate_payload(args):
     if not args.input:
         raise CliError("--input is required")
-    panel = _load_panel(args.input, args.layout)
+    panel, digest = _load_panel(args.input, args.layout)
     g = _parse_g(args.g)
-    pi_bound = _parse_pi(args.pi)
+    pi = _parse_pi(args.pi)
     regime = _parse_regime(args.sign_mu, args.sign_tau)
-    digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
     caught: list[str] = []
 
-    if pi_bound == "stratum":
+    if pi == "stratum":
         if panel.strata is None:
             raise CliError("--pi stratum needs a panel with a stratum column")
-        per = PiBound.from_treatment_ratio()
         strata = {}
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             for label, m in conditional_estimand(panel, g).items():
-                interval = identified_set_benchmark(
-                    m, per.resolve(panel=panel, stratum=label), regime
-                )
+                interval = identified_set_benchmark(m, treatment_ratio(panel, label), regime)
                 strata[str(label)] = {
                     "m_hat": m,
                     "pi": interval.pi_used,
@@ -265,9 +263,12 @@ def _estimate_payload(args):
                 }
         caught.extend(str(w.message) for w in wlist)
         results = {"strata": strata, "g": g.describe(), "pi_policy": "stratum", "warnings": caught}
-        return panel, regime, g, digest, results
+        return digest, results
 
-    pi = pi_bound.resolve(panel=panel)
+    if pi == "treatment-ratio":
+        pi_policy, pi = "treatment_ratio", treatment_ratio(panel)
+    else:
+        pi_policy = f"constant({pi})"
     m_hat = did_estimand(panel, g)
     regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
     if args.epsilon is None:
@@ -276,18 +277,18 @@ def _estimate_payload(args):
         interval = identified_set_imperfect(m_hat, pi, args.epsilon, regime)
     results = {
         "m_hat": m_hat,
-        "pi_policy": pi_bound.describe(),
+        "pi_policy": pi_policy,
         "pi": pi,
         "g": g.describe(),
         "regime": regime.describe(),
         "interval": _interval_dict(interval),
         "warnings": caught,
     }
-    return panel, regime, g, digest, results
+    return digest, results
 
 
 def cmd_estimate(args) -> tuple[int, str]:
-    panel, regime, g, digest, results = _estimate_payload(args)
+    digest, results = _estimate_payload(args)
     config = {
         "g": args.g,
         "pi": args.pi,
@@ -343,21 +344,21 @@ def _contrast(args):
         return summ["m"], summ["se"], None, {"summary": summ}
     if not args.input:
         raise CliError("either --input or --summary is required")
-    panel = _load_panel(args.input, args.layout)
+    panel, digest = _load_panel(args.input, args.layout)
     g = _parse_g(args.g)
-    digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
     return did_estimand(panel, g), contrast_se(panel, g), panel, digest
 
 
 def _infer_payload(args):
     regime = _parse_regime(args.sign_mu, args.sign_tau)
-    pi_bound = _parse_pi(args.pi)
-    if args.summary and (pi_bound == "stratum" or pi_bound.kind != "constant"):
+    pi = _parse_pi(args.pi)
+    if args.summary and isinstance(pi, str):
         raise CliError("summary mode needs --pi const:<v> (no panel to resolve from)")
-    if pi_bound == "stratum":
+    if pi == "stratum":
         raise CliError("per-stratum inference is not supported; use estimate --pi stratum")
     m_hat, se_m, panel, digest = _contrast(args)
-    pi = pi_bound.resolve(panel=panel)
+    if pi == "treatment-ratio":
+        pi = treatment_ratio(panel)
     caught: list[str] = []
     regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
     interval, cs = summary_mode_infer(m_hat, se_m, pi, args.epsilon, regime, args.alpha)
@@ -494,7 +495,7 @@ def _add_cic_flags(p: argparse.ArgumentParser) -> None:
 def cmd_cic(args) -> tuple[int, str]:
     regime = _parse_regime(args.sign_mu, args.sign_tau)
     qs = _parse_float_list(args.q, "--q")
-    panel = _load_panel(args.input, "long")
+    panel, digest = _load_panel(args.input, "long")
     data = CicData.from_panel(panel)
     rows = []
     for q in qs:
@@ -512,7 +513,6 @@ def cmd_cic(args) -> tuple[int, str]:
                 "empty": res.is_empty,
             }
         )
-    digest = {"rows": panel.n, "n_treated": panel.n_treated, "n_control": panel.n_control}
     config = {
         "q": qs,
         "pi": args.pi,
@@ -684,10 +684,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return code
-    except (CliError, PanelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # CliError and PanelFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NoRootInBracketError, DegenerateVarianceError) as exc:

@@ -297,9 +297,11 @@ def group_stats(panel: TwoPeriodPanel, g: GTransform) -> GroupStats:
     return GroupStats(delta=delta, sigma2=sigma2, cov=cov, n0=counts[0], n1=counts[1])
 
 
-def treatment_ratio(panel: TwoPeriodPanel) -> float:
-    """Empirical treatment share n1/n."""
-    return panel.n_treated / panel.n
+def treatment_ratio(panel: TwoPeriodPanel, stratum=None) -> float:
+    """Empirical treatment share n1/n, or its share within ``stratum``."""
+    if stratum is None:
+        return panel.n_treated / panel.n
+    return float(panel.d[panel.stratum_mask(stratum)].mean())
 
 
 def _parse_float(raw: str, row_num: int, field: str) -> float:
@@ -333,8 +335,13 @@ def _parse_t(raw: str, row_num: int) -> int:
 def _open_reader(source) -> tuple[csv.DictReader, Iterator[str]]:
     """A DictReader that has read the header, and the line iterator it
     reads from, positioned at the first line after the header."""
-    if isinstance(source, (str, bytes)):
-        source = io.StringIO(source if isinstance(source, str) else source.decode())
+    if isinstance(source, bytes):
+        try:
+            source = source.decode()
+        except UnicodeDecodeError as exc:
+            raise PanelFormatError(f"input is not UTF-8: {exc}") from None
+    if isinstance(source, str):
+        source = io.StringIO(source)
     lines = iter(source)
     reader = csv.DictReader(lines)
     try:

@@ -174,14 +174,24 @@ def _panel_from_arrays(cfg: DgpConfig, y0, y1, d) -> TwoPeriodPanel:
     return TwoPeriodPanel(unit_ids=range(cfg.n), y0=y0, y1=y1, d=d.astype(int))
 
 
+def _outcomes(rng: np.random.Generator, cfg: DgpConfig, d, shift0, shift1=None):
+    """(y0, y1): group base mean plus unit noise, shifted by ``shift0`` at
+    t=0, and by the common trend, mu for the treated and ``shift1`` (if
+    given) at t=1."""
+    noise = _unit_noise(rng, cfg)
+    base = np.where(d, cfg.base_means[1], cfg.base_means[0])
+    y0 = base + noise[:, 0] + shift0
+    y1 = base + cfg.trend + noise[:, 1] + d * cfg.mu
+    if shift1 is not None:
+        y1 += shift1
+    return y0, y1
+
+
 def _draw_two_period(rng: np.random.Generator, cfg: DgpConfig):
     """Benchmark DGP draws: (y0, y1, d, a) with a the anticipators."""
     d = rng.random(cfg.n) < cfg.p_treat
     a = d & (rng.random(cfg.n) < cfg.lam)
-    noise = _unit_noise(rng, cfg)
-    base = np.where(d, cfg.base_means[1], cfg.base_means[0])
-    y0 = base + noise[:, 0] + a * cfg.tau
-    y1 = base + cfg.trend + noise[:, 1] + d * cfg.mu
+    y0, y1 = _outcomes(rng, cfg, d, a * cfg.tau)
     return y0, y1, d, a
 
 
@@ -222,10 +232,7 @@ def generate_imperfect(cfg: DgpConfig, return_truth: bool = False):
     wrong = anticipates & (rng.random(cfg.n) < cfg.epsilon)
     # anticipated-treated layer: treated & correct, or control & wrong
     shifts = anticipates & ((d & ~wrong) | (~d & wrong))
-    noise = _unit_noise(rng, cfg)
-    base = np.where(d, cfg.base_means[1], cfg.base_means[0])
-    y0 = base + noise[:, 0] + shifts * cfg.tau
-    y1 = base + cfg.trend + noise[:, 1] + d * cfg.mu
+    y0, y1 = _outcomes(rng, cfg, d, shifts * cfg.tau)
     panel = _panel_from_arrays(cfg, y0, y1, d)
     if not return_truth:
         return panel
@@ -265,10 +272,7 @@ def generate_toy_anticipation(cfg: DgpConfig, return_truth: bool = False):
     u = rng.random(cfg.n) ** (1.0 / cfg.toy_power)
     threshold = cfg.toy_alpha * cfg.p_treat
     a = u <= threshold  # both groups anticipate; only treated ones react
-    noise = _unit_noise(rng, cfg)
-    base = np.where(d, cfg.base_means[1], cfg.base_means[0])
-    y0 = base + noise[:, 0] + (a & d) * cfg.tau
-    y1 = base + cfg.trend + noise[:, 1] + d * cfg.mu
+    y0, y1 = _outcomes(rng, cfg, d, (a & d) * cfg.tau)
     panel = _panel_from_arrays(cfg, y0, y1, d)
     if not return_truth:
         return panel
@@ -293,10 +297,7 @@ def generate_post_treatment(cfg: DgpConfig, return_truth: bool = False):
     rng = _rng(cfg.seed)
     d = rng.random(cfg.n) < cfg.p_treat
     a = d & (rng.random(cfg.n) < cfg.lam)
-    noise = _unit_noise(rng, cfg)
-    base = np.where(d, cfg.base_means[1], cfg.base_means[0])
-    y0 = base + noise[:, 0] + a * cfg.tau1
-    y1 = base + cfg.trend + noise[:, 1] + d * cfg.mu + a * cfg.tau2
+    y0, y1 = _outcomes(rng, cfg, d, a * cfg.tau1, a * cfg.tau2)
     panel = _panel_from_arrays(cfg, y0, y1, d)
     if not return_truth:
         return panel

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from antebounds.bounds import (
-    PiBound,
     SignRegime,
     conditional_estimand,
-    conditional_identified_sets,
     did_estimand,
     identified_set_benchmark,
     identified_set_imperfect,
@@ -239,6 +237,8 @@ class TestStaggered:
         assert staggered_pi(2, 1, 0.9, panel) == pytest.approx(0.9 * 0.5)
         with pytest.raises(ValueError):
             staggered_pi(2, 1, 1.0, panel)
+        with pytest.raises(ValueError, match="discount"):
+            staggered_pi(2, 1, 1.5, panel)
         with pytest.raises(ValueError):
             staggered_pi(2, 2, 0.9, panel)
 
@@ -314,19 +314,6 @@ class TestConditional:
         with pytest.raises(ValueError, match="lacks comparison group"):
             conditional_estimand(panel, GTransform.identity())
 
-    def test_conditional_sets_use_stratum_ratio(self):
-        panel = make_panel(
-            [1, 1, 0, 0, 0, 2, 2, 3, 3, 3],
-            [3, 3, 1, 1, 1, 4, 4, 3, 3, 3],
-            [1, 1, 0, 0, 0, 1, 1, 0, 0, 0],
-            strata=("A",) * 5 + ("B",) * 5,
-        )
-        sets = conditional_identified_sets(
-            panel, GTransform.identity(), PiBound.from_treatment_ratio(), OPP
-        )
-        assert sets["A"].pi_used == pytest.approx(0.4)
-        assert sets["B"].pi_used == pytest.approx(0.4)
-
 
 class TestReconcileRegime:
     def test_consistent_passes_through(self):
@@ -385,36 +372,3 @@ class TestSensitivitySweep:
             1.0, 0.2, 1, [(0.5, 0.3), (0.1, None), (0.5, 0.1)], OPP, 0.95
         )
         assert [(r.pi, r.epsilon) for r in rows] == [(0.1, None), (0.5, 0.1), (0.5, 0.3)]
-
-
-class TestPiBoundPolicies:
-    def test_constant_validation(self):
-        with pytest.raises(ValueError, match="pi < 1"):
-            PiBound.constant(1.0)
-        with pytest.raises(ValueError):
-            PiBound.constant(-0.1)
-
-    def test_per_stratum_resolution(self):
-        pb = PiBound.per_stratum({"A": 0.2, "B": 0.6})
-        assert pb.resolve(stratum="A") == 0.2
-        assert pb.resolve(stratum="B") == 0.6
-        with pytest.raises(ValueError, match="no pi entry"):
-            pb.resolve(stratum="C")
-        with pytest.raises(ValueError, match="pi < 1"):
-            PiBound.per_stratum({"A": 1.0})
-
-    def test_treatment_ratio_needs_panel(self):
-        pb = PiBound.from_treatment_ratio()
-        with pytest.raises(ValueError, match="needs a panel"):
-            pb.resolve()
-        panel = make_panel([0] * 5, [1] * 5, [1, 1, 0, 0, 0])
-        assert pb.resolve(panel=panel) == pytest.approx(0.4)
-
-    def test_staggered_policy(self):
-        pb = PiBound.staggered(delta=0.9)
-        panel = toy_cohort_panel()
-        assert pb.resolve(panel=panel, e=2, s=1) == pytest.approx(0.9 * 0.5)
-        with pytest.raises(ValueError, match="needs a cohort panel"):
-            pb.resolve(panel=panel)
-        with pytest.raises(ValueError, match="discount"):
-            PiBound.staggered(delta=1.5)

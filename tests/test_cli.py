@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from antebounds import cli
+from antebounds.bounds import SignRegime, identified_set_benchmark
 from antebounds.cli import CliError, main, resolve_workers
+from antebounds.panel import load_two_period, treatment_ratio
 
 HAND_WIDE = "unit_id,y0,y1,d\na,1.0,3.0,1\nb,1.0,3.0,1\nc,0.0,1.0,0\ne,0.0,1.0,0\n"
 
@@ -73,11 +75,13 @@ class TestEstimate:
         assert iv["theorem_tag"] == "imperfect"
 
     def test_stratum_path(self, capsys, tmp_path):
+        # B's treated share (3/5) differs from A's (1/2) and the whole
+        # panel's (5/9), so each stratum must use its own ratio
         path = tmp_path / "strat.csv"
         path.write_text(
             "unit_id,y0,y1,d,stratum\n"
             "a,1,3,1,A\nb,1,3,1,A\nc,0,1,0,A\ne,0,1,0,A\n"
-            "f,0,2,1,B\ng,0,2,1,B\nh,0,1,0,B\ni,0,1,0,B\n"
+            "f,0,2,1,B\ng,0,2,1,B\nh,0,1,0,B\ni,0,1,0,B\nj,0,2,1,B\n"
         )
         code, out, _ = run(capsys, [
             "estimate", "--input", str(path), "--pi", "stratum",
@@ -88,6 +92,31 @@ class TestEstimate:
         assert strata["A"]["m_hat"] == pytest.approx(1.0)
         assert strata["B"]["m_hat"] == pytest.approx(1.0)
         assert strata["A"]["pi"] == pytest.approx(0.5)
+        assert strata["B"]["pi"] == pytest.approx(0.6)
+        panel = load_two_period(path.read_text())
+        for label, entry in strata.items():
+            interval = identified_set_benchmark(
+                entry["m_hat"], treatment_ratio(panel, label), SignRegime(1, -1)
+            )
+            assert entry["pi"] == interval.pi_used
+            assert (entry["interval"]["lower"], entry["interval"]["upper"]) == interval.as_tuple()
+
+    @pytest.mark.parametrize("spec", ["const:1.0", "const:-0.1"])
+    def test_constant_pi_outside_unit_interval_exit_2(self, capsys, hand_csv, spec):
+        code, out, err = run(capsys, ["estimate", "--input", hand_csv, "--pi", spec])
+        assert code == 2 and out == ""
+        assert "--pi const: unbounded identified set requires pi < 1" in err
+
+    @pytest.mark.parametrize("spec, policy", [
+        ("treatment-ratio", "treatment_ratio"),
+        ("const:0.4", "constant(0.4)"),
+    ])
+    def test_pi_policy_names_the_cap(self, capsys, hand_csv, spec, policy):
+        code, out, _ = run(capsys, [
+            "estimate", "--input", hand_csv, "--pi", spec, "--format", "json",
+        ])
+        assert code == 0
+        assert json.loads(out)["results"]["pi_policy"] == policy
 
     def test_sign_warning_and_autoflip(self, capsys, tmp_path):
         path = tmp_path / "neg.csv"

@@ -94,6 +94,16 @@ class TestLoaders:
         assert panel.cohort_share_up_to(2) == 0.5
         assert np.isinf(panel.cohorts).sum() == 1
 
+    @pytest.mark.parametrize("load, header", [
+        (load_two_period, "unit_id,y0,y1,d"),
+        (load_cohort, "unit_id,t,y,e"),
+    ], ids=["two_period", "cohort"])
+    def test_undecodable_bytes_are_a_format_error(self, load, header):
+        # the codec's message, with the byte offset, is kept
+        offset = len(header) + 1
+        with pytest.raises(PanelFormatError, match=f"not UTF-8.*0xff in position {offset}:"):
+            load(header.encode() + b"\n\xff,1,2,1\n")
+
     def test_cohort_unreadable_row_names_it(self):
         text = "unit_id,t,y,e\na,1,0.0,inf\n\na,2,1.0,inf\nb,1," + "9" * 200_000 + ",inf\n"
         with pytest.raises(PanelFormatError, match=r"field larger than field limit.*\(row: 4\)"):
@@ -188,6 +198,15 @@ class TestGroupStats:
             for d in (0, 1):
                 bound = np.sqrt(gs.sigma2[d, 0] * gs.sigma2[d, 1])
                 assert abs(gs.cov[d]) <= bound + 1e-12
+
+    def test_treatment_ratio_within_stratum(self):
+        rng = np.random.default_rng(29)
+        panel = random_panel(rng, with_strata=True)
+        for label in ("A", "B"):
+            within = treatment_ratio(panel.restrict_to_stratum(label))
+            assert treatment_ratio(panel, label) == within  # bit for bit
+        with pytest.raises(KeyError):
+            treatment_ratio(panel, "C")
 
     def test_treatment_ratio(self):
         panel = make_panel([0] * 5, [1] * 5, [1, 1, 0, 0, 0])

@@ -19,7 +19,7 @@ from antebounds.bounds import (
     staggered_estimand,
     staggered_pi,
 )
-from antebounds.panel import CohortPanel, GTransform, TwoPeriodPanel
+from antebounds.panel import CohortPanel, GTransform, TwoPeriodPanel, treatment_ratio
 
 from test_panel import make_panel
 
@@ -313,6 +313,43 @@ class TestConditional:
         )
         with pytest.raises(ValueError, match="lacks comparison group"):
             conditional_estimand(panel, GTransform.identity())
+
+
+    def test_conditional_sets_use_stratum_ratio(self):
+        panel = make_panel(
+            [1, 1, 0, 0, 0, 2, 2, 3, 3, 3],
+            [3, 3, 1, 1, 1, 4, 4, 3, 3, 3],
+            [1, 1, 0, 0, 0, 1, 1, 0, 0, 0],
+            strata=("A",) * 5 + ("B",) * 5,
+        )
+        g = GTransform.identity()
+        contrasts = conditional_estimand(panel, g)
+        for label in ("A", "B"):
+            pi = treatment_ratio(panel, label)
+            assert pi == pytest.approx(0.4)
+            sub = panel.restrict_to_stratum(label)
+            got = identified_set_benchmark(contrasts[label], pi, OPP)
+            want = identified_set_benchmark(
+                did_estimand(sub, g), treatment_ratio(sub), OPP
+            )
+            assert got.pi_used == pytest.approx(0.4)
+            assert (got.lower, got.upper) == pytest.approx(
+                (want.lower, want.upper), abs=1e-12
+            )
+
+class TestPiBoundPolicies:
+    def test_staggered_policy(self):
+        # the staggered cap is the plain number staggered_pi gives, fed to
+        # the benchmark set like any other pi
+        panel = toy_cohort_panel()
+        pi = staggered_pi(2, 1, 0.9, panel)
+        assert pi == pytest.approx(0.9 * 0.5)
+        m = staggered_estimand(panel, 2, 1, 3, GTransform.identity())
+        out = identified_set_benchmark(m, pi, OPP)
+        assert out.pi_used == pi
+        assert (out.lower, out.upper) == pytest.approx(tuple(sorted((m, m / (1 + pi)))))
+        with pytest.raises(ValueError, match="discount"):
+            staggered_pi(2, 1, 1.5, panel)
 
 
 class TestReconcileRegime:

@@ -132,9 +132,13 @@ def did_estimand(panel: TwoPeriodPanel, g: GTransform) -> float:
 def _did(y0: np.ndarray, y1: np.ndarray, treated: np.ndarray, g: GTransform) -> float:
     g0, g1 = g.apply(y0), g.apply(y1)
     control = ~treated
-    return float(
-        (g1[treated].mean() - g0[treated].mean()) - (g1[control].mean() - g0[control].mean())
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(
+            (g1[treated].mean() - g0[treated].mean()) - (g1[control].mean() - g0[control].mean())
+        )
+    if not math.isfinite(m):
+        raise ValueError("the DID contrast overflows float64; rescale the outcomes")
+    return m
 
 
 def endpoint_scale_factors(

@@ -211,10 +211,6 @@ def _fmt(x, nd: int = 6) -> str:
     return f"{x:.{nd}g}"
 
 
-def _interval_text(interval) -> str:
-    return f"[{_fmt(interval.lower)}, {_fmt(interval.upper)}]"
-
-
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -252,16 +248,13 @@ def _estimate_payload(args):
         if panel.strata is None:
             raise CliError("--pi stratum needs a panel with a stratum column")
         strata = {}
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            for label, m in conditional_estimand(panel, g).items():
-                interval = identified_set_benchmark(m, treatment_ratio(panel, label), regime)
-                strata[str(label)] = {
-                    "m_hat": m,
-                    "pi": interval.pi_used,
-                    "interval": _interval_dict(interval),
-                }
-        caught.extend(str(w.message) for w in wlist)
+        for label, m in conditional_estimand(panel, g).items():
+            interval = identified_set_benchmark(m, treatment_ratio(panel, label), regime)
+            strata[str(label)] = {
+                "m_hat": m,
+                "pi": interval.pi_used,
+                "interval": _interval_dict(interval),
+            }
         results = {"strata": strata, "g": g.describe(), "pi_policy": "stratum", "warnings": caught}
         return digest, results
 
@@ -589,6 +582,10 @@ def cmd_simulate(args) -> tuple[int, str]:
         seed=args.seed,
         falsification=args.falsify,
     )
+    if not 0.0 <= args.coverage_threshold <= 1.0:
+        raise CliError(
+            f"--coverage-threshold must lie in [0, 1], got {args.coverage_threshold}"
+        )
     exit_code = EXIT_OK
     if scenario == "benchmark":
         lams = _parse_float_list(args.lambda_grid, "--lambda-grid")

@@ -124,7 +124,8 @@ def contrast_moments(dy, d) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ValueError
-        If any sample has fewer than two units in a group.
+        If any sample has fewer than two units in a group, or if the
+        contrast or its variance overflows float64.
     """
     dy = np.asarray(dy, dtype=float)
     d = np.asarray(d, dtype=bool)
@@ -141,14 +142,20 @@ def contrast_moments(dy, d) -> tuple[np.ndarray, np.ndarray]:
     # several times faster on long rows.
     w1 = d.astype(float)
     w0 = 1.0 - w1
-    mean1 = (dy * w1).sum(axis=-1) / n1
-    mean0 = (dy * w0).sum(axis=-1) / n0
-    dev1 = (dy - mean1[..., None]) * w1
-    dev0 = (dy - mean0[..., None]) * w0
-    var1 = (dev1 * dev1).sum(axis=-1) / (n1 - 1)
-    var0 = (dev0 * dev0).sum(axis=-1) / (n0 - 1)
-    p = n1 / n
-    return mean1 - mean0, var1 / p + var0 / (1 - p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean1 = (dy * w1).sum(axis=-1) / n1
+        mean0 = (dy * w0).sum(axis=-1) / n0
+        dev1 = (dy - mean1[..., None]) * w1
+        dev0 = (dy - mean0[..., None]) * w0
+        var1 = (dev1 * dev1).sum(axis=-1) / (n1 - 1)
+        var0 = (dev0 * dev0).sum(axis=-1) / (n0 - 1)
+        p = n1 / n
+        m, var_m = mean1 - mean0, var1 / p + var0 / (1 - p)
+    if not (np.isfinite(m).all() and np.isfinite(var_m).all()):
+        raise ValueError(
+            "the DID contrast or its variance overflows float64; rescale the outcomes"
+        )
+    return m, var_m
 
 
 def contrast_se(panel: TwoPeriodPanel, g: GTransform) -> float:

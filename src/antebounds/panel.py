@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, count, filterfalse, islice, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,13 +54,11 @@ class GTransform:
 
     ``identity`` targets the plain average effect; ``indicator(u)`` maps
     y -> 1{y <= u} (ties at u count, the cutoff is included) and targets
-    distributional effects.  Arbitrary measurable functions plug in via
-    :meth:`custom`.
+    distributional effects.
     """
 
     kind: str
     threshold: float | None = None
-    fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     @staticmethod
     def identity() -> "GTransform":
@@ -72,19 +70,13 @@ class GTransform:
             raise ValueError(f"indicator threshold must be finite, got {threshold}")
         return GTransform(kind="indicator", threshold=float(threshold))
 
-    @staticmethod
-    def custom(fn: Callable[[np.ndarray], np.ndarray], label: str = "custom") -> "GTransform":
-        return GTransform(kind=label, fn=fn)
-
     def apply(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if self.kind == "identity":
             return y
         if self.kind == "indicator":
             return (y <= self.threshold).astype(float)
-        if self.fn is None:
-            raise ValueError(f"GTransform kind {self.kind!r} has no callable attached")
-        return np.asarray(self.fn(y), dtype=float)
+        raise ValueError(f"unknown GTransform kind {self.kind!r}")
 
     def describe(self) -> str:
         if self.kind == "indicator":
@@ -548,116 +540,82 @@ def _codes(table: dict, keys: list) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, keys), dtype=np.intp, count=len(keys))
 
 
-def _grow(a: np.ndarray, n: int) -> np.ndarray:
-    if len(a) >= n:
-        return a
-    out = np.zeros((max(n, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
-
-
-class _LongUnits:
-    """Units of a long-layout file, indexed by first appearance: the two
-    outcome slots, which slots are filled, and each unit's treatment and
-    stratum as set by its first row."""
-
-    def __init__(self, has_stratum: bool):
-        self.has_stratum = has_stratum
-        self.pos: dict = {}
-        self.labels: dict = {}
-        self.y = np.zeros((0, 2))
-        self.seen = np.zeros((0, 2), dtype=bool)
-        self.d = np.zeros(0, dtype=np.uint8)
-        self.stratum = np.zeros(0, dtype=np.intp)
-
-    def pair(self, row_num: int, uid: list, t: list, d: list, stratum: list | None = None):
-        """Unit index and period of each row of a chunk whose t and d are
-        valid; raises for the first row that repeats a (unit, period) or
-        changes its unit's treatment or stratum."""
-        n_before = len(self.pos)
-        code = _codes(self.pos, uid)
-        n = len(self.pos)
-        self.y, self.seen = _grow(self.y, n), _grow(self.seen, n)
-        self.d, self.stratum = _grow(self.d, n), _grow(self.stratum, n)
-        tt, dd = _binary(t), _binary(d)
-        ss = None if stratum is None else _codes(self.labels, stratum)
-        _, first = np.unique(code, return_index=True)
-        first = first[code[first] >= n_before]
-        self.d[n_before:n] = dd[first]
-        if ss is not None:
-            self.stratum[n_before:n] = ss[first]
-        # a repeat is a (unit, period) filled by an earlier chunk or by an
-        # earlier row of this one
-        dup = np.ones(len(code), dtype=bool)
-        dup[np.unique(2 * code + tt, return_index=True)[1]] = False
-        dup |= self.seen[code, tt]
-        d_bad = dd != self.d[code]
-        s_bad = ss != self.stratum[code] if ss is not None else np.zeros_like(dup)
-        bad = dup | d_bad | s_bad
-        if bad.any():
-            k = int(bad.argmax())
-            row, unit = row_num + k, uid[k]
-            if dup[k]:
-                raise PanelFormatError(
-                    f"duplicate (unit, period) for unit {unit!r} at t={int(tt[k])}", row=row
-                )
-            if d_bad[k]:
-                raise PanelFormatError(
-                    f"treatment not constant within unit {unit!r}", row=row, field="d"
-                )
-            raise PanelFormatError(
-                f"stratum not constant within unit {unit!r}", row=row, field="stratum"
-            )
-        self.seen[code, tt] = True
-        return code, tt
-
-    def panel(self) -> TwoPeriodPanel:
-        n = len(self.pos)
-        if n == 0:
-            raise PanelFormatError("no data rows")
-        ids = tuple(self.pos)
-        complete = self.seen[:n].all(axis=1)
-        if not complete.all():
-            i = int(complete.argmin())
-            have = [t for t in (0, 1) if self.seen[i, t]]
-            raise PanelFormatError(
-                f"missing period for unit {ids[i]!r}: have t={have}, need both 0 and 1"
-            )
-        strata = None
-        if self.has_stratum:
-            labels = list(self.labels)
-            strata = tuple(map(labels.__getitem__, self.stratum[:n].tolist()))
-        return TwoPeriodPanel(
-            unit_ids=ids,
-            y0=self.y[:n, 0].copy(),
-            y1=self.y[:n, 1].copy(),
-            d=self.d[:n],
-            strata=strata,
-        )
-
-
 def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "t", "y", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
     names = ("unit_id", "t", "y", "d") + (("stratum",) if has_stratum else ())
     parsers = (_parse_t, partial(_parse_float, field="y"), _parse_d)
-    units = _LongUnits(has_stratum)
-    for row_num, (uid, t, y, d, *stratum) in _column_chunks(reader, lines, names):
-        keys = (uid, t, d, *stratum)
-        try:
-            ys = _floats(y)
-            ok = _BINARY.issuperset(t) and np.isfinite(ys).all() and _BINARY.issuperset(d)
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            # rows before the first unparsable one may hold an earlier fault
-            k, err = _first_bad_row(row_num, (t, y, d), parsers)
-            if k:
-                units.pair(row_num, *(column[:k] for column in keys))
-            raise err
-        code, tt = units.pair(row_num, *keys)
-        units.y[code, tt] = ys
-    return units.panel()
+    units: dict = {}
+    labels: dict = {}
+    codes, ts, ys, ds, ss = [], [], [], [], []
+    fault = None
+    try:
+        for row_num, (uid, t, y, d, *stratum) in _column_chunks(reader, lines, names):
+            try:
+                a = _floats(y)
+                ok = _BINARY.issuperset(t) and np.isfinite(a).all() and _BINARY.issuperset(d)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                # the rows before the first unparsable one are still paired,
+                # since they may hold an earlier fault
+                k, fault = _first_bad_row(row_num, (t, y, d), parsers)
+                uid, t, y, d, *stratum = (column[:k] for column in (uid, t, y, d, *stratum))
+                a = _floats(y)
+            codes.append(_codes(units, uid).astype(np.int32))
+            ts.append(_binary(t))
+            ys.append(a)
+            ds.append(_binary(d))
+            if has_stratum:
+                ss.append(_codes(labels, stratum[0]).astype(np.int32))
+            if fault is not None:
+                break
+    except PanelFormatError as err:  # an unreadable row, raised after the rows before it
+        fault = err
+    if not units:
+        raise fault or PanelFormatError("no data rows")
+    code, t, d = map(np.concatenate, (codes, ts, ds))
+    s = np.concatenate(ss) if has_stratum else None
+    del codes, ts, ds, ss
+    ids = tuple(units)
+    # the first row of each unit sets its treatment and stratum; a later
+    # row that repeats a (unit, period) or changes either is a fault
+    first = np.unique(code, return_index=True)[1]
+    dup = np.ones(len(code), dtype=bool)
+    dup[np.unique(2 * code + t, return_index=True)[1]] = False
+    bad = dup | (d != d[first][code])
+    if has_stratum:
+        bad |= s != s[first][code]
+    if bad.any():
+        k = int(bad.argmax())
+        row, unit = 2 + k, ids[code[k]]  # rows are numbered from 2, blank ones skipped
+        if dup[k]:
+            raise PanelFormatError(
+                f"duplicate (unit, period) for unit {unit!r} at t={int(t[k])}", row=row
+            )
+        if d[k] != d[first[code[k]]]:
+            raise PanelFormatError(
+                f"treatment not constant within unit {unit!r}", row=row, field="d"
+            )
+        raise PanelFormatError(
+            f"stratum not constant within unit {unit!r}", row=row, field="stratum"
+        )
+    if fault is not None:
+        raise fault
+    if len(code) < 2 * len(ids):
+        # with no repeats, a unit with one row is missing the other period
+        i = int(np.bincount(code, minlength=len(ids)).argmin())
+        raise PanelFormatError(
+            f"missing period for unit {ids[i]!r}: have t={[int(t[first[i]])]}, "
+            "need both 0 and 1"
+        )
+    y = np.empty((2, len(ids)))
+    y[t, code] = np.concatenate(ys)
+    del ys
+    strata = None
+    if has_stratum:
+        strata = tuple(map(list(labels).__getitem__, s[first].tolist()))
+    return TwoPeriodPanel(unit_ids=ids, y0=y[0], y1=y[1], d=d[first], strata=strata)
 
 
 def load_cohort(source) -> CohortPanel:

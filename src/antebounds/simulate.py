@@ -111,6 +111,12 @@ class DgpConfig:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError(f"n must be at least 4, got {self.n}")
+        for name in ("mu", "tau", "trend", "noise_sd", "noise_df", "tau1", "tau2", "toy_power"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if not all(map(math.isfinite, self.base_means)):
+            raise ValueError(f"base_means must be finite, got {self.base_means}")
         for name in ("lam", "epsilon"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -591,6 +597,8 @@ def coverage_study(
     Configs violating the assumptions are rejected unless explicitly
     tagged as falsification runs, whose points are flagged in the report.
     """
+    if not cfg_grid:
+        raise ValueError("the DGP grid is empty")
     for cfg in cfg_grid:
         if not cfg.satisfies_assumptions(pi_for_estimator) and not cfg.falsification:
             raise ValueError(

@@ -599,6 +599,42 @@ class TestExitContract:
         assert err == f"error: --summary {bad.split('=')[0]} must be finite, got {bad.split('=')[1]!r}\n"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--pi", "const:0.3"],
+        ["estimate", "--pi", "treatment-ratio"],
+        ["estimate", "--pi", "stratum"],
+        ["infer", "--pi", "const:0.3"],
+        ["sensitivity", "--pi-grid", "0.1,0.2"],
+    ])
+    def test_overflowing_outcomes_are_named(self, capsys, tmp_path, argv):
+        # finite outcomes whose treated-group sum overflows float64
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "unit_id,y0,y1,d,stratum\n"
+            "a,1e308,1e308,1,A\nb,1e308,1e308,1,A\nc,0,1,0,A\ne,0,2,0,A\n"
+        )
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert (code, out, raised) == (2, "", [])
+        assert err.count("\n") == 1 and "overflows float64" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--scenario", "toy", "--toy-power", "nan"],
+        ["--scenario", "toy", "--toy-power", "inf"],
+        ["--scenario", "benchmark", "--noise-sd", "inf"],
+        ["--scenario", "benchmark", "--mu", "inf", "--tau", "0"],
+        ["--scenario", "benchmark", "--coverage-threshold", "nan"],
+        ["--scenario", "benchmark", "--lambda-grid", ""],
+    ])
+    def test_bad_simulate_parameters_are_usage_errors(self, capsys, flags):
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["simulate", "--reps", "40"] + flags)
+        assert (code, out, raised) == (2, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSummaryN:
     @pytest.mark.parametrize("command", ["infer", "sensitivity"])
     def test_n_is_only_recorded(self, capsys, command):

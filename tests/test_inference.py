@@ -207,6 +207,13 @@ class TestContrastMoments:
         with pytest.raises(ValueError, match="group d=1 has 1 unit"):
             contrast_moments(dy, d)
 
+    @pytest.mark.parametrize("dy", [[1e308, 1e308, 0.0, 1.0], [1e200, -1e200, 0.0, 1.0]])
+    def test_overflow_is_named(self, dy):
+        # the first overflows the treated mean, the second only its variance
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="overflows float64"):
+                contrast_moments(dy, [True, True, False, False])
+
 
 class TestConfidenceSet:
     def test_point_identified_limit(self):

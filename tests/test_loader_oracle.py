@@ -252,6 +252,27 @@ def test_long_fault_at_chunk_boundary(fault, offset):
     assert_same_result(long_text(lines), "long")
 
 
+@pytest.mark.parametrize("first", ["repeat", "treatment change"])
+@pytest.mark.parametrize("second", ["bad t", "over-long field"])
+def test_long_pairing_fault_before_a_later_read_fault(first, second):
+    # the read ends in the second chunk, before the rows are paired; the
+    # pairing fault of the first chunk is still the one reported
+    lines = list(long_lines(CHUNK // 2 + 1))
+    if first == "repeat":
+        lines.insert(10, lines[7])  # u3 at t=0 again
+    else:
+        lines[10] = LONG_FAULTS["treatment change"](lines[10])  # u4 at t=1
+    later = CHUNK + 1
+    if second == "bad t":
+        lines[later] = LONG_FAULTS["bad t"](lines[later])
+    else:
+        lines[later] = set_field(2, "0" * (csv.field_size_limit() + 1))(lines[later])
+    assert_same_result(long_text(lines), "long")
+    with pytest.raises(PanelFormatError) as got:
+        load_two_period(long_text(lines), "long")
+    assert got.value.row == 12
+
+
 @pytest.mark.parametrize("layout", ["wide", "long"])
 def test_clean_file_spans_several_chunks(layout):
     # three chunks either way: 2*CHUNK + 5 wide rows, or 2*CHUNK + 6 long ones

@@ -231,16 +231,9 @@ class TestCohortPanel:
 
 
 class TestGTransformCustom:
-    def test_custom_callable(self):
-        import numpy as np
-        from antebounds.panel import GTransform
-        g = GTransform.custom(lambda y: np.square(y), label="square")
-        assert g.apply(np.array([2.0, -3.0])).tolist() == [4.0, 9.0]
-        assert g.describe() == "square"
-
     def test_kind_without_callable(self):
         import pytest
         from antebounds.panel import GTransform
         bad = GTransform(kind="mystery")
-        with pytest.raises(ValueError, match="no callable"):
+        with pytest.raises(ValueError, match="unknown GTransform kind 'mystery'"):
             bad.apply([1.0])

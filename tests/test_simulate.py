@@ -65,6 +65,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DgpConfig(n=100, mu=1, tau=0, lam=0.5, p_treat=0.0)
 
+    @pytest.mark.parametrize("name", [
+        "mu", "tau", "trend", "noise_sd", "noise_df", "tau1", "tau2", "toy_power", "base_means",
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, name, bad):
+        kw = dict(n=100, mu=1.0, tau=0.0, lam=0.0)
+        kw[name] = (0.0, bad) if name == "base_means" else bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DgpConfig(**kw)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid is empty"):
+            coverage_study([], 0.4, 0.95, 10)
+
     def test_assumption_flag(self):
         ok = DgpConfig(n=100, mu=1.0, tau=-0.5, lam=0.2)
         assert ok.satisfies_assumptions(0.3)

@@ -101,9 +101,12 @@ def _parse_regime(sign_mu: str, sign_tau: str) -> SignRegime:
 
 def _parse_float_list(spec: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in spec.split(",") if tok != ""]
+        values = [float(tok) for tok in spec.split(",") if tok != ""]
     except ValueError:
         raise CliError(f"{flag} must be a comma-separated list of numbers") from None
+    if not values:
+        raise CliError(f"{flag} must list at least one number, got {spec!r}")
+    return values
 
 
 def _parse_summary(tokens: list[str]) -> dict:

@@ -16,8 +16,6 @@ assumptions do.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -541,6 +539,10 @@ def _point_tables(
         for start in starts
     ]
     if workers > 1:
+        # imported here, since a run on one worker never needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:

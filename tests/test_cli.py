@@ -634,6 +634,32 @@ class TestExitContract:
         assert (code, out, raised) == (2, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,spec,argv", [
+        ("--pi-grid", ",", ["sensitivity", "--summary", "m=1", "se=0.2", "--format", "json"]),
+        ("--epsilon-grid", ",",
+         ["sensitivity", "--summary", "m=1", "se=0.2", "--pi-grid", "0.1", "--format", "json"]),
+        ("--q", "", ["cic", "--pi", "0.3", "--format", "json"]),
+        ("--q", ",", ["cic", "--pi", "0.3", "--format", "json"]),
+        ("--lambda-grid", "", ["simulate", "--scenario", "benchmark", "--reps", "40"]),
+        ("--cohort-shares", ",", ["simulate", "--scenario", "staggered"]),
+    ])
+    def test_a_list_with_no_numbers_is_a_usage_error(self, capsys, tmp_path, flag, spec, argv):
+        path = tmp_path / "long.csv"
+        path.write_text("unit_id,t,y,d\na,0,1,1\na,1,2,1\nb,0,0,0\nb,1,1,0\n")
+        if argv[0] == "cic":
+            argv = argv + ["--input", str(path)]
+        code, out, err = run(capsys, argv + [flag, spec])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must list at least one number, got {spec!r}\n"
+
+    def test_an_empty_epsilon_grid_means_none(self, capsys):
+        argv = ["sensitivity", "--summary", "m=1", "se=0.2", "--pi-grid", "0.1,0.2",
+                "--epsilon-grid", "", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        report = json.loads(out)
+        assert code == 0 and len(report["results"]["rows"]) == 2
+        assert report["manifest"]["config"]["epsilon_grid"] is None
+
 
 class TestSummaryN:
     @pytest.mark.parametrize("command", ["infer", "sensitivity"])

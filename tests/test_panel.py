@@ -1,13 +1,19 @@
 """Panel loading, validation, and group-statistics tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antebounds.panel import (
     CohortPanel,
     GTransform,
     PanelFormatError,
     TwoPeriodPanel,
+    _distinct,
     group_stats,
     load_cohort,
     load_two_period,
@@ -117,8 +123,16 @@ class TestLoaders:
 
 class TestPanelInvariants:
     def test_duplicate_unit_ids(self):
-        with pytest.raises(PanelFormatError, match="unique"):
+        with pytest.raises(PanelFormatError, match="unit_id 'a' repeats an earlier unit_id"):
             TwoPeriodPanel(("a", "a"), [1.0, 2.0], [1.0, 2.0], [1, 0])
+
+    def test_the_first_repeat_is_named(self):
+        ids = ("u1", "u7", "u3", "u3", "u7")
+        with pytest.raises(PanelFormatError, match=r"^unit_id 'u3' repeats an earlier unit_id$"):
+            TwoPeriodPanel(ids, [0.0] * 5, [0.0] * 5, [1, 0, 1, 0, 1])
+        cohorts = np.array([2.0, np.inf, np.inf, 2.0, np.inf])
+        with pytest.raises(PanelFormatError, match=r"^unit_id 'u3' repeats an earlier unit_id$"):
+            CohortPanel(ids, np.zeros((5, 2)), cohorts)
 
     def test_needs_both_groups(self):
         with pytest.raises(PanelFormatError, match="at least one treated and one control"):
@@ -237,3 +251,57 @@ class TestGTransformCustom:
         bad = GTransform(kind="mystery")
         with pytest.raises(ValueError, match="unknown GTransform kind 'mystery'"):
             bad.apply([1.0])
+
+
+def _planted(draw_ids):
+    """Ids from ``draw_ids`` with, at random, copies of some of them spliced
+    in at random places."""
+
+    @st.composite
+    def strategy(draw):
+        ids = draw(st.lists(draw_ids, max_size=60))
+        if ids:
+            for _ in range(draw(st.integers(0, 3))):
+                ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+        return ids
+
+    return strategy()
+
+
+class TestDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.one_of(
+        _planted(st.text(max_size=4)),
+        _planted(st.integers(-(2**70), 2**70)),
+        _planted(st.floats(allow_nan=True)),
+        _planted(st.one_of(st.integers(-3, 3), st.floats(-3, 3))),
+    ))
+    def test_agrees_with_the_set_test(self, ids):
+        assert _distinct(ids) == (len(set(ids)) == len(ids))
+
+    @pytest.mark.parametrize("ids, distinct", [
+        ([-1, -2], True),  # CPython hashes both to -2
+        ([1, 1.0], False),  # equal, so the same id
+        ([float("nan"), float("nan")], True),  # two NaN objects never compare equal
+        ([math.nan, math.nan], False),  # one NaN object is the same id twice
+        ([2**61 - 1, 0], True),  # a hash modulus tie
+        (["a", "b", "a"], False),
+        ([], True),
+        (["a"], True),
+    ])
+    def test_a_hash_tie_falls_back_to_equality(self, ids, distinct):
+        assert _distinct(ids) is distinct
+
+    def test_a_range_is_distinct_without_a_check(self):
+        assert _distinct(range(10**12))
+
+    def test_checking_100k_string_ids_stays_small(self):
+        ids = tuple(f"unit-{i:07d}" for i in range(100_000))
+        tracemalloc.start()
+        try:
+            assert _distinct(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a set of these ids would take about 6 MiB
+        assert peak < 2 * 2**20

@@ -6,7 +6,8 @@ Generated files mix valid rows with faults: unparsable or non-finite
 numbers, out-of-range flags, short and over-long rows, blank lines,
 quoting, CRLF line ends, repeated or inconsistent units and missing
 periods.  Small chunk sizes make short files span several chunks; the
-real chunk size is covered by faults placed around its first boundary.
+real chunk size is covered by faults placed around its first boundary
+and around a later one.
 Hand-written cases pin the loader's comma-split route: the hand-over to
 csv in mid-file, over-long lines, NUL bytes, a missing final newline and
 list-of-lines sources.
@@ -28,6 +29,9 @@ from antebounds import panel as panel_module
 from antebounds.panel import PanelFormatError, load_two_period
 
 CHUNK = panel_module.CHUNK_ROWS
+# a later boundary at the real chunk size (the fourth), and a chunk size
+# that holds every small test file in one chunk
+LATER = 32768
 
 GOOD_NUMBERS = st.sampled_from(["0", "1", "-2.5", "3e2", "0.1", "-0", " 4 ", "1_000", "+7."])
 BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "0x1", "1__0", "1,5"])
@@ -178,7 +182,7 @@ def test_long_matches_reference(text, chunk):
         assert_same_result(text, "long")
 
 
-# --- the real chunk size: faults around its first boundary ----------------
+# --- the real chunk size: faults around its first and a later boundary ----
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,13 +232,17 @@ LONG_FAULTS = {  # fields: unit_id, t, y, d, stratum
     "stratum change": set_field(4, "C"),
 }
 
-BOUNDARY = [CHUNK - 1, CHUNK, CHUNK + 1]
+BOUNDARY = [b + k for b in (CHUNK, LATER) for k in (-1, 0, 1)]
+
+
+def test_later_is_a_chunk_boundary():
+    assert LATER % CHUNK == 0 and LATER > CHUNK
 
 
 @pytest.mark.parametrize("fault", sorted(WIDE_FAULTS))
 @pytest.mark.parametrize("offset", BOUNDARY)
 def test_wide_fault_at_chunk_boundary(fault, offset):
-    lines = list(wide_lines(CHUNK + 2))
+    lines = list(wide_lines(LATER + 2))
     lines[offset] = WIDE_FAULTS[fault](lines[offset])
     assert_same_result(wide_text(lines), "wide")
 
@@ -242,7 +250,7 @@ def test_wide_fault_at_chunk_boundary(fault, offset):
 @pytest.mark.parametrize("fault", sorted(LONG_FAULTS) + ["repeat", "missing period"])
 @pytest.mark.parametrize("offset", BOUNDARY)
 def test_long_fault_at_chunk_boundary(fault, offset):
-    lines = list(long_lines(CHUNK // 2 + 1))
+    lines = list(long_lines(LATER // 2 + 1))
     if fault == "repeat":
         lines.insert(offset, lines[offset - 3])
     elif fault == "missing period":
@@ -321,7 +329,7 @@ def test_line_over_field_size_limit_in_a_later_chunk(long_field):
             )
 
 
-@pytest.mark.parametrize("chunk", [1, 2, CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, CHUNK, LATER])
 def test_nul_in_a_field(chunk):
     lines = small_wide(5)
     lines[3] = "u\x003,3,0.5,1"
@@ -330,7 +338,7 @@ def test_nul_in_a_field(chunk):
 
 
 @pytest.mark.parametrize("layout", ["wide", "long"])
-@pytest.mark.parametrize("chunk", [1, 3, 4, CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, 4, CHUNK, LATER])
 def test_last_line_without_newline(layout, chunk):
     if layout == "wide":
         text = wide_text(small_wide(8))
@@ -355,7 +363,7 @@ LIST_SOURCES = {
 
 
 @pytest.mark.parametrize("name", sorted(LIST_SOURCES))
-@pytest.mark.parametrize("chunk", [1, 2, 5, CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, 5, CHUNK, LATER])
 def test_list_of_lines_source(name, chunk):
     with chunk_rows(chunk):
         assert_same_result(LIST_SOURCES[name], "wide")

@@ -217,13 +217,10 @@ def staggered_estimand(
     never = panel.cohort_mask(math.inf)
     if not cohort.any():
         raise ValueError(f"empty cohort e={e}")
-    gt = g.apply(panel.outcomes_at(t))
-    gs = g.apply(panel.outcomes_at(s))
-    # difference of group means, in the same order the two-period path
-    # computes it, so the T=2 reduction agrees bit for bit
-    cohort_change = gt[cohort].mean() - gs[cohort].mean()
-    never_change = gt[never].mean() - gs[never].mean()
-    return float(cohort_change - never_change)
+    # the two-period contrast on cohort-e and never-treated rows, so the
+    # T=2 reduction agrees bit for bit and an overflow is caught the same way
+    rows = cohort | never
+    return _did(panel.outcomes_at(s)[rows], panel.outcomes_at(t)[rows], cohort[rows], g)
 
 
 def staggered_pi(e: int, s: int, delta: float, panel: CohortPanel) -> float:

@@ -589,34 +589,21 @@ def cmd_simulate(args) -> tuple[int, str]:
         raise CliError(
             f"--coverage-threshold must lie in [0, 1], got {args.coverage_threshold}"
         )
-    exit_code = EXIT_OK
     if scenario == "benchmark":
         lams = _parse_float_list(args.lambda_grid, "--lambda-grid")
         grid = [DgpConfig(lam=l, **base) for l in lams]
         workers = resolve_workers(args.workers, os.cpu_count())
         report = coverage_study(grid, args.pi, args.alpha, args.reps, workers=workers)
-        results = report.to_dict()
-        results["threshold"] = args.coverage_threshold
-        if args.falsify:
-            results["verdict"] = "falsification run; threshold gating skipped"
-        else:
-            ok = report.min_coverage >= args.coverage_threshold
-            results["verdict"] = "pass" if ok else "fail"
-            exit_code = EXIT_OK if ok else EXIT_THRESHOLD
         config = {"scenario": scenario, "grid": [c.to_dict() for c in grid],
                   "pi": args.pi, "alpha": args.alpha, "reps": args.reps}
     elif scenario == "imperfect":
         cfg = DgpConfig(lam=args.lam if args.lam is not None else 0.3,
                         epsilon=args.epsilon, **base)
         report = decomposition_check(cfg, variant="imperfect")
-        results = report.to_dict()
-        exit_code = EXIT_OK if report.passed else EXIT_THRESHOLD
         config = {"scenario": scenario, "config": cfg.to_dict()}
     elif scenario == "toy":
         cfg = DgpConfig(lam=0.0, toy_alpha=args.toy_alpha, toy_power=args.toy_power, **base)
         report = toy_bound_check(cfg)
-        results = report.to_dict()
-        exit_code = EXIT_OK if report.passed else EXIT_THRESHOLD
         config = {"scenario": scenario, "config": cfg.to_dict()}
     elif scenario == "staggered":
         cfg = DgpConfig(lam=args.lam if args.lam is not None else 0.3, **base)
@@ -624,8 +611,6 @@ def cmd_simulate(args) -> tuple[int, str]:
         report = staggered_identity_check(
             cfg, T=args.periods, cohort_shares=shares, e=args.e, s=args.s, t=args.tpost
         )
-        results = report.to_dict()
-        exit_code = EXIT_OK if report.passed else EXIT_THRESHOLD
         config = {"scenario": scenario, "config": cfg.to_dict(),
                   "cohort_shares": shares, "periods": args.periods,
                   "e": args.e, "s": args.s, "t": args.tpost}
@@ -633,11 +618,19 @@ def cmd_simulate(args) -> tuple[int, str]:
         cfg = DgpConfig(lam=args.lam if args.lam is not None else 0.3,
                         tau1=args.tau1, tau2=args.tau2, **base)
         report = post_treatment_identity_check(cfg, reps=args.reps)
-        results = report.to_dict()
-        exit_code = EXIT_OK if report.passed else EXIT_THRESHOLD
         config = {"scenario": scenario, "config": cfg.to_dict(), "reps": args.reps}
+    results = report.to_dict()
+    if scenario == "benchmark":
+        passed = args.falsify or report.min_coverage >= args.coverage_threshold
+        results["threshold"] = args.coverage_threshold
+        results["verdict"] = (
+            "falsification run; threshold gating skipped" if args.falsify
+            else "pass" if passed else "fail"
+        )
+    else:
+        passed = report.passed
     manifest = _manifest("simulate", config, {}, results.keys(), seed=args.seed)
-    return exit_code, _json_report(manifest, results)
+    return (EXIT_OK if passed else EXIT_THRESHOLD), _json_report(manifest, results)
 
 
 # ---------------------------------------------------------------------------

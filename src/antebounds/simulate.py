@@ -1,8 +1,10 @@
 """Synthetic data-generating processes and Monte Carlo verification engines.
 
-Every generator knows its ground truth (effect, anticipatory effect,
-anticipation share, error rate), so bounds and confidence procedures can
-be checked against the truth they are supposed to cover.  Replications
+Generators return only their panels.  Each check computes the value it
+predicts from the config itself (the biased contrast mu - lam * tau, the
+cohort contrast mu - h * tau, the treatment share that caps the
+anticipation share), so bounds and confidence procedures are checked
+against the truth they are supposed to cover.  Replications
 are seeded by mixing a master seed with the replication index
 (SplitMix64), making every study reproducible bit-for-bit and independent
 of execution order or worker count.
@@ -41,7 +43,6 @@ from .panel import CohortPanel, GTransform, TwoPeriodPanel
 __all__ = [
     "DgpConfig",
     "CicDgpConfig",
-    "PanelTruth",
     "GridPointResult",
     "CoverageReport",
     "CheckReport",
@@ -145,24 +146,17 @@ class DgpConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class PanelTruth:
-    """Ground truth recorded alongside a generated panel."""
-
-    mu: float
-    tau: float
-    lam: float
-    epsilon: float
-    predicted_m: float
-    anticipation_share: float
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed & _MASK64)
 
 
 def _unit_noise(rng: np.random.Generator, cfg: DgpConfig, periods: int = 2) -> np.ndarray:
-    """(n, periods) noise with cross-period correlation noise_rho."""
+    """(n, periods) noise with cross-period correlation noise_rho.
+
+    Callers draw under ``np.errstate(over="ignore")``: a huge noise_sd
+    overflows to inf, which panel validation or :func:`contrast_moments`
+    then names as a typed error.
+    """
     if cfg.noise_dist == "normal":
         draw = lambda size: rng.standard_normal(size)
     else:
@@ -192,36 +186,26 @@ def _outcomes(rng: np.random.Generator, cfg: DgpConfig, d, shift0, shift1=None):
 
 
 def _draw_two_period(rng: np.random.Generator, cfg: DgpConfig):
-    """Benchmark DGP draws: (y0, y1, d, a) with a the anticipators."""
+    """Benchmark DGP draws: (y0, y1, d), treated anticipators shifted."""
     d = rng.random(cfg.n) < cfg.p_treat
     a = d & (rng.random(cfg.n) < cfg.lam)
     y0, y1 = _outcomes(rng, cfg, d, a * cfg.tau)
-    return y0, y1, d, a
+    return y0, y1, d
 
 
-def generate_two_period(cfg: DgpConfig, return_truth: bool = False):
+@np.errstate(over="ignore")
+def generate_two_period(cfg: DgpConfig) -> TwoPeriodPanel:
     """Benchmark DGP: perfect anticipation, treated anticipators only.
 
     Both groups share the trend, so parallel trends holds by construction;
     anticipators shift the pre-period outcome by tau, which biases the DID
     contrast to mu - lam * tau.
     """
-    y0, y1, d, a = _draw_two_period(_rng(cfg.seed), cfg)
-    panel = _panel_from_arrays(cfg, y0, y1, d)
-    if not return_truth:
-        return panel
-    truth = PanelTruth(
-        mu=cfg.mu,
-        tau=cfg.tau,
-        lam=cfg.lam,
-        epsilon=0.0,
-        predicted_m=cfg.mu - cfg.lam * cfg.tau,
-        anticipation_share=float(a[d].mean()) if d.any() else 0.0,
-    )
-    return panel, truth
+    return _panel_from_arrays(cfg, *_draw_two_period(_rng(cfg.seed), cfg))
 
 
-def generate_imperfect(cfg: DgpConfig, return_truth: bool = False):
+@np.errstate(over="ignore")
+def generate_imperfect(cfg: DgpConfig) -> TwoPeriodPanel:
     """Imperfect anticipation: anticipators in both groups, wrong with
     probability epsilon.
 
@@ -237,28 +221,13 @@ def generate_imperfect(cfg: DgpConfig, return_truth: bool = False):
     # anticipated-treated layer: treated & correct, or control & wrong
     shifts = anticipates & ((d & ~wrong) | (~d & wrong))
     y0, y1 = _outcomes(rng, cfg, d, shifts * cfg.tau)
-    panel = _panel_from_arrays(cfg, y0, y1, d)
-    if not return_truth:
-        return panel
-    truth = PanelTruth(
-        mu=cfg.mu,
-        tau=cfg.tau,
-        lam=cfg.lam,
-        epsilon=cfg.epsilon,
-        predicted_m=cfg.mu - cfg.lam * (1.0 - 2.0 * cfg.epsilon) * cfg.tau,
-        anticipation_share=float(anticipates.mean()),
-    )
-    return panel, truth
+    return _panel_from_arrays(cfg, y0, y1, d)
 
 
-def generate_toy_anticipation(cfg: DgpConfig, return_truth: bool = False):
-    """Information-density anticipation: A = 1{U <= alpha * P[D=1]}.
-
-    U follows F(x) = x^k on [0, 1] with k >= 1, i.e. a nondecreasing
-    density; together with alpha <= 1 this keeps the anticipation share
-    below the treatment share, the bound the treatment-ratio pi policy
-    relies on.
-    """
+@np.errstate(over="ignore")
+def _draw_toy(rng: np.random.Generator, cfg: DgpConfig):
+    """Toy-model draws: (y0, y1, d, a) with a the anticipators of both
+    groups (only treated ones react)."""
     if cfg.toy_alpha is None:
         raise ValueError("toy model requires toy_alpha to be set")
     if not (0.0 < cfg.toy_alpha <= 1.0):
@@ -271,28 +240,27 @@ def generate_toy_anticipation(cfg: DgpConfig, return_truth: bool = False):
             f"toy_power < 1 gives a decreasing density for U, which breaks "
             f"the anticipation-share bound (got {cfg.toy_power})"
         )
-    rng = _rng(cfg.seed)
     d = rng.random(cfg.n) < cfg.p_treat
     u = rng.random(cfg.n) ** (1.0 / cfg.toy_power)
-    threshold = cfg.toy_alpha * cfg.p_treat
-    a = u <= threshold  # both groups anticipate; only treated ones react
+    a = u <= cfg.toy_alpha * cfg.p_treat
     y0, y1 = _outcomes(rng, cfg, d, (a & d) * cfg.tau)
-    panel = _panel_from_arrays(cfg, y0, y1, d)
-    if not return_truth:
-        return panel
-    share = threshold**cfg.toy_power
-    truth = PanelTruth(
-        mu=cfg.mu,
-        tau=cfg.tau,
-        lam=share,
-        epsilon=0.0,
-        predicted_m=cfg.mu - share * cfg.tau,
-        anticipation_share=float(a.mean()),
-    )
-    return panel, truth
+    return y0, y1, d, a
 
 
-def generate_post_treatment(cfg: DgpConfig, return_truth: bool = False):
+def generate_toy_anticipation(cfg: DgpConfig) -> TwoPeriodPanel:
+    """Information-density anticipation: A = 1{U <= alpha * P[D=1]}.
+
+    U follows F(x) = x^k on [0, 1] with k >= 1, i.e. a nondecreasing
+    density; together with alpha <= 1 this keeps the anticipation share
+    below the treatment share, the bound the treatment-ratio pi policy
+    relies on.
+    """
+    y0, y1, d, _ = _draw_toy(_rng(cfg.seed), cfg)
+    return _panel_from_arrays(cfg, y0, y1, d)
+
+
+@np.errstate(over="ignore")
+def generate_post_treatment(cfg: DgpConfig) -> TwoPeriodPanel:
     """Anticipators shift by tau1 before treatment and tau2 after it.
 
     The contrast converges to mu - lam * (tau1 - tau2): equal pre and post
@@ -302,23 +270,11 @@ def generate_post_treatment(cfg: DgpConfig, return_truth: bool = False):
     d = rng.random(cfg.n) < cfg.p_treat
     a = d & (rng.random(cfg.n) < cfg.lam)
     y0, y1 = _outcomes(rng, cfg, d, a * cfg.tau1, a * cfg.tau2)
-    panel = _panel_from_arrays(cfg, y0, y1, d)
-    if not return_truth:
-        return panel
-    truth = PanelTruth(
-        mu=cfg.mu,
-        tau=cfg.tau1,
-        lam=cfg.lam,
-        epsilon=0.0,
-        predicted_m=cfg.mu - cfg.lam * (cfg.tau1 - cfg.tau2),
-        anticipation_share=float(a[d].mean()) if d.any() else 0.0,
-    )
-    return panel, truth
+    return _panel_from_arrays(cfg, y0, y1, d)
 
 
-def generate_staggered(
-    cfg: DgpConfig, T: int, cohort_shares: Sequence[float], return_truth: bool = False
-):
+@np.errstate(over="ignore")
+def generate_staggered(cfg: DgpConfig, T: int, cohort_shares: Sequence[float]) -> CohortPanel:
     """Staggered adoption: cohort e first treated at period e, treated ever
     after; anticipation in pre-period s with probability lam * delta^(e-s).
 
@@ -361,18 +317,7 @@ def generate_staggered(
         + cfg.mu * treated_now
         + cfg.tau * anticipating
     )
-    panel = CohortPanel(unit_ids=range(cfg.n), outcomes=outcomes, cohorts=cohorts)
-    if not return_truth:
-        return panel
-    truth = PanelTruth(
-        mu=cfg.mu,
-        tau=cfg.tau,
-        lam=cfg.lam,
-        epsilon=0.0,
-        predicted_m=math.nan,  # depends on (e, s); see h_probability
-        anticipation_share=float(anticipating.any(axis=1).mean()),
-    )
-    return panel, truth
+    return CohortPanel(unit_ids=range(cfg.n), outcomes=outcomes, cohorts=cohorts)
 
 
 def h_probability(cfg: DgpConfig, e: int, s: int) -> float:
@@ -413,9 +358,6 @@ class CicDgpConfig:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if not (0.0 <= self.u_lo < self.u_hi <= 1.0):
             raise ValueError("treated U support must be inside [0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def true_counterfactual_quantile(self, q: float) -> float:
         """Quantile of the clean treated outcome at t=1: intercept +
@@ -501,9 +443,11 @@ def _coverage_block(job) -> np.ndarray:
     cfg, pi, start, stop = job
     dy = np.empty((stop - start, cfg.n))
     d = np.empty((stop - start, cfg.n), dtype=bool)
-    for row, rep in enumerate(range(start, stop)):
-        y0, y1, d[row], _ = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg)
-        np.subtract(y1, y0, out=dy[row])
+    # an overflow leaves inf or nan in dy, which contrast_moments rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, rep in enumerate(range(start, stop)):
+            y0, y1, d[row] = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg)
+            np.subtract(y1, y0, out=dy[row])
     m_hat, var_m = contrast_moments(dy, d)
     fa, fb = endpoint_scale_factors(pi, cfg.regime())
     lower = np.minimum(m_hat * fa, m_hat * fb)
@@ -668,18 +612,20 @@ def decomposition_check(cfg: DgpConfig, variant: str = "benchmark") -> CheckRepo
     mu - lam*(1-2*epsilon)*tau.
     """
     if variant == "benchmark":
-        panel, truth = generate_two_period(cfg, return_truth=True)
+        panel = generate_two_period(cfg)
+        predicted = cfg.mu - cfg.lam * cfg.tau
     elif variant == "imperfect":
-        panel, truth = generate_imperfect(cfg, return_truth=True)
+        panel = generate_imperfect(cfg)
+        predicted = cfg.mu - cfg.lam * (1.0 - 2.0 * cfg.epsilon) * cfg.tau
     else:
         raise ValueError(f"unknown variant {variant!r}")
     m_hat = did_estimand(panel, GTransform.identity())
     se = contrast_se(panel, GTransform.identity())
-    passed = abs(m_hat - truth.predicted_m) <= 3.0 * se
+    passed = abs(m_hat - predicted) <= 3.0 * se
     return CheckReport(
         name=f"decomposition/{variant}",
         estimate=m_hat,
-        predicted=truth.predicted_m,
+        predicted=predicted,
         se=se,
         passed=passed,
         details={"lam": cfg.lam, "epsilon": cfg.epsilon, "n": cfg.n},
@@ -714,8 +660,9 @@ def staggered_identity_check(
 
 def toy_bound_check(cfg: DgpConfig) -> CheckReport:
     """Empirical anticipation share against the treatment share bound."""
-    panel, truth = generate_toy_anticipation(cfg, return_truth=True)
-    share = truth.anticipation_share
+    y0, y1, d, a = _draw_toy(_rng(cfg.seed), cfg)
+    panel = _panel_from_arrays(cfg, y0, y1, d)  # validates the draws
+    share = float(a.mean())
     ratio = panel.n_treated / panel.n
     se = math.sqrt(
         share * (1.0 - share) / panel.n + ratio * (1.0 - ratio) / panel.n

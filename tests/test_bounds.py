@@ -222,6 +222,14 @@ class TestStaggered:
         g = GTransform.identity()
         assert staggered_estimand(cpanel, 2, 1, 2, g) == did_estimand(tpanel, g)
 
+    def test_overflowing_contrast_is_named(self):
+        outcomes = np.array([[0.0, 1e308], [0.0, 1e308], [0.0, 1.0], [0.0, 2.0]])
+        panel = CohortPanel(("a", "b", "c", "e"), outcomes, np.array([2.0, 2.0, np.inf, np.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                staggered_estimand(panel, 2, 1, 2, GTransform.identity())
+
     def test_period_preconditions(self):
         panel = toy_cohort_panel()
         g = GTransform.identity()

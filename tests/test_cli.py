@@ -626,6 +626,9 @@ class TestExitContract:
         ["--scenario", "benchmark", "--mu", "inf", "--tau", "0"],
         ["--scenario", "benchmark", "--coverage-threshold", "nan"],
         ["--scenario", "benchmark", "--lambda-grid", ""],
+        # finite parameters whose cohort contrast overflows float64
+        ["--scenario", "staggered", "--mu", "1e308"],
+        ["--scenario", "staggered", "--tau", "1e308"],
     ])
     def test_bad_simulate_parameters_are_usage_errors(self, capsys, flags):
         with warnings.catch_warnings(record=True) as raised:

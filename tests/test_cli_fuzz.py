@@ -4,13 +4,17 @@ Each example starts from a valid ``estimate``, ``infer``, ``sensitivity``
 or ``cic`` command line and a small valid panel file, mutates some flag
 values and some CSV bytes, and runs ``cli.main`` in this process.  Every
 run must exit 0, 1, 2 or 3 (argparse's own usage errors exit 2) and print
-no traceback.  Nothing here starts a worker process.
+no traceback.  A table test runs ``simulate`` with every flag each
+scenario reads set to each of a list of awkward values, and checks the
+output as well as the exit code.  Nothing here starts a worker process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -166,3 +170,58 @@ def test_every_run_exits_in_contract_without_traceback(csv_path, invocation):
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), (argv, csv_text, err.getvalue())
+
+
+# ``simulate``: every flag a scenario reads, at each awkward value.  A
+# threshold verdict (exit 1) still prints its report; any other non-zero
+# exit prints nothing on stdout and one error line on stderr (argparse's
+# usage text aside).
+SIMULATE_COMMON = [
+    "--n", "--seed", "--mu", "--tau", "--p-treat", "--noise-sd", "--noise-rho",
+    "--noise-dist", "--delta", "--coverage-threshold",
+]
+SIMULATE_FLAGS = {
+    "benchmark": ["--lambda-grid", "--pi", "--alpha", "--reps", "--workers"],
+    "imperfect": ["--lam", "--epsilon"],
+    "toy": ["--toy-alpha", "--toy-power"],
+    "staggered": ["--lam", "--cohort-shares", "--periods", "--e", "--s", "--tpost"],
+    "identity": ["--lam", "--tau1", "--tau2", "--reps"],
+}
+SIMULATE_VALUES = ["", ",", "nan", "inf", "-inf", "-1", "0", "1e400", "1e308", "abc"]
+
+
+def _no_constants(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize(
+    "scenario,flag",
+    [(s, f) for s, flags in SIMULATE_FLAGS.items() for f in SIMULATE_COMMON + flags],
+)
+def test_simulate_flag_values_keep_the_exit_contract(scenario, flag):
+    for value in SIMULATE_VALUES:
+        argv = ["simulate", "--scenario", scenario, "--n", "24", "--reps", "4",
+                "--lambda-grid", "0", "--workers", "1", flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        where = (flag, value, code, out[:200], err)
+        assert raised == [], where
+        assert "internal error" not in err and "Traceback" not in err, where
+        if code in (0, 1):
+            results = json.loads(out, parse_constant=_no_constants)["results"]
+            verdict = results.get("verdict", "pass" if results.get("passed") else "fail")
+            assert (code == 1) == (verdict == "fail"), where
+            assert err == "", where
+        else:
+            assert code in (2, 3) and out == "", where
+            lines = err.splitlines()
+            typed = len(lines) == 1 and lines[0].startswith(("error:", "numerical failure:"))
+            usage = code == 2 and lines[-1].startswith("antebounds simulate: error:")
+            assert typed or usage, where

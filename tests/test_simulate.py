@@ -139,10 +139,10 @@ class TestImperfectGenerator:
 class TestToyGenerator:
     def test_uniform_equality_case(self):
         cfg = big_cfg(lam=0.0, toy_alpha=1.0, toy_power=1.0, p_treat=0.4)
-        _, truth = generate_toy_anticipation(cfg, return_truth=True)
+        share = toy_bound_check(cfg).estimate
         # P[A=1] = F(alpha * p) = 0.4 exactly for the uniform
         se = math.sqrt(0.4 * 0.6 / cfg.n)
-        assert abs(truth.anticipation_share - 0.4) <= 3 * se
+        assert abs(share - 0.4) <= 3 * se
 
     def test_convex_density_bound(self):
         rep = toy_bound_check(big_cfg(lam=0.0, toy_alpha=1.0, toy_power=2.0, p_treat=0.5))

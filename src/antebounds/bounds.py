@@ -200,6 +200,15 @@ def identified_set_imperfect(
     )
 
 
+def _identified_set(
+    m: float, pi: float, epsilon: float | None, regime: SignRegime
+) -> IdentifiedInterval:
+    """The benchmark set if epsilon is None, else the imperfect-anticipation set."""
+    if epsilon is None:
+        return identified_set_benchmark(m, pi, regime)
+    return identified_set_imperfect(m, pi, epsilon, regime)
+
+
 def staggered_estimand(
     panel: CohortPanel, e: int, s: int, t: int, g: GTransform
 ) -> float:
@@ -300,27 +309,17 @@ def sensitivity_sweep(
     Output is ordered by pi then epsilon so the rows plot directly against
     the anticipation-probability axis.  ``n`` is not used: ``se`` already
     reflects the sample size.  Each row equals :func:`summary_mode_infer`
-    at its grid point bit for bit; the points are checked in that order,
-    and C_n is then solved for the whole grid in one call.
+    at its grid point bit for bit; each point's scale factors are checked
+    in that order, then one array call gives every row.
     """
     # local import: inference builds on bounds
-    from .inference import (
-        _check_alpha,
-        _check_contrast,
-        _extend,
-        _interval_and_components,
-        critical_value_cn,
-    )
+    from .inference import _check_alpha, _check_contrast, _sets
 
     _check_alpha(alpha)
     _check_contrast(m, se)
     ordered = sorted(grid, key=lambda pe: (pe[0], -math.inf if pe[1] is None else pe[1]))
-    lower, upper, se_ext = (np.empty(len(ordered)) for _ in range(3))
-    for i, (pi, eps) in enumerate(ordered):
-        interval, vc = _interval_and_components(m, se, pi, eps, regime)
-        lower[i], upper[i], se_ext[i] = interval.lower, interval.upper, vc.se
-    c_n = critical_value_cn(upper - lower, se_ext, alpha)
-    cs_lower, cs_upper = _extend(lower, upper, c_n, se_ext)
+    fa, fb = np.reshape([endpoint_scale_factors(pi, regime, eps) for pi, eps in ordered], (-1, 2)).T
+    lower, upper, _, cs_lower, cs_upper = _sets(m, se, fa, fb, alpha)
     return [
         SweepRow(pi=pi, epsilon=eps, set_lower=lo, set_upper=hi, cs_lower=cl, cs_upper=cu)
         for (pi, eps), lo, hi, cl, cu in zip(

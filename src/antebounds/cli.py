@@ -25,10 +25,9 @@ from . import __version__
 from .bounds import (
     SignRegime,
     _check_pi,
+    _identified_set,
     conditional_estimand,
     did_estimand,
-    identified_set_benchmark,
-    identified_set_imperfect,
     reconcile_regime,
     robustness_cutoff,
     sensitivity_sweep,
@@ -252,7 +251,10 @@ def _estimate_payload(args):
             raise CliError("--pi stratum needs a panel with a stratum column")
         strata = {}
         for label, m in conditional_estimand(panel, g).items():
-            interval = identified_set_benchmark(m, treatment_ratio(panel, label), regime)
+            notes: list[str] = []
+            label_regime = _reconcile(m, regime, args.auto_flip_sign, notes)
+            caught += [f"stratum {label}: {w}" for w in notes]
+            interval = _identified_set(m, treatment_ratio(panel, label), args.epsilon, label_regime)
             strata[str(label)] = {
                 "m_hat": m,
                 "pi": interval.pi_used,
@@ -267,10 +269,7 @@ def _estimate_payload(args):
         pi_policy = f"constant({pi})"
     m_hat = did_estimand(panel, g)
     regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
-    if args.epsilon is None:
-        interval = identified_set_benchmark(m_hat, pi, regime)
-    else:
-        interval = identified_set_imperfect(m_hat, pi, args.epsilon, regime)
+    interval = _identified_set(m_hat, pi, args.epsilon, regime)
     results = {
         "m_hat": m_hat,
         "pi_policy": pi_policy,

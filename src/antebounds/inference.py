@@ -11,7 +11,8 @@ C_n solves
 C_n interpolates between the one-sided and two-sided normal critical
 values as the estimated interval widens.  Only the contrast m_hat and
 its SE enter (Imbens and Manski 2004, Stoye 2009): :func:`summary_mode_infer`
-is the one route from (m_hat, SE) to both sets, panel data only supply
+is the scalar route from (m_hat, SE) to both sets and ``_sets`` its array
+form (sensitivity sweeps, the coverage engine), panel data only supply
 the SE (:func:`contrast_se`), and published tables need no micro-data.
 """
 
@@ -25,10 +26,9 @@ import numpy as np
 from .bounds import (
     IdentifiedInterval,
     SignRegime,
+    _identified_set,
     did_estimand,
     endpoint_scale_factors,
-    identified_set_benchmark,
-    identified_set_imperfect,
 )
 from .numerics import (
     Bracket,
@@ -161,11 +161,18 @@ def contrast_moments(dy, d) -> tuple[np.ndarray, np.ndarray]:
 def contrast_se(panel: TwoPeriodPanel, g: GTransform) -> float:
     """Standard error of the DID contrast, sqrt(variance / n) with the
     variance of :func:`contrast_moments`; DegenerateVarianceError if 0."""
-    _, var_m = contrast_moments(g.apply(panel.y1) - g.apply(panel.y0), panel.d == 1)
-    se = math.sqrt(var_m) / math.sqrt(panel.n)
-    if se == 0.0:
+    dy = g.apply(panel.y1) - g.apply(panel.y0)
+    return float(_contrast_and_se(dy, panel.d == 1)[1])
+
+
+def _contrast_and_se(dy, d) -> tuple[np.ndarray, np.ndarray]:
+    """(m_hat, se) along the last axis: :func:`contrast_moments` and
+    sqrt(variance) / sqrt(n); DegenerateVarianceError if any se is 0."""
+    m_hat, var_m = contrast_moments(dy, d)
+    se = np.sqrt(var_m) / math.sqrt(np.shape(d)[-1])
+    if not (se > 0.0).all():
         raise DegenerateVarianceError("zero variance for the DID contrast; outcomes are degenerate")
-    return se
+    return m_hat, se
 
 
 def _endpoint_components(
@@ -234,9 +241,25 @@ def critical_value_cn(delta_hat, se, alpha: float):
 
 def _extend(lower, upper, c_n, se):
     """Confidence-set endpoints: [lower, upper] widened by c_n * se on each
-    side (scalars or arrays)."""
+    side (scalars or arrays); a ValueError if one overflows."""
     ext = c_n * se
-    return lower - ext, upper + ext
+    cs_lower, cs_upper = lower - ext, upper + ext
+    if not (np.isfinite(cs_lower).all() and np.isfinite(cs_upper).all()):
+        raise ValueError("the confidence set overflows float64; the standard error is too large")
+    return cs_lower, cs_upper
+
+
+def _sets(m, se, fa, fb, alpha):
+    """(lower, upper, c_n, cs_lower, cs_upper) for arrays of contrasts ``m``,
+    SEs ``se`` and scale factors ``fa``, ``fb``: :func:`summary_mode_infer`'s
+    arithmetic on every element, C_n in one call.  An endpoint overflowing
+    to inf ends as the "interval width must be finite" error."""
+    with np.errstate(over="ignore"):
+        a, b = m * fa, m * fb
+        lower, upper = np.minimum(a, b), np.maximum(a, b)
+        se_ext = se * np.maximum(fa, fb)
+        c_n = critical_value_cn(upper - lower, se_ext, alpha)
+        return (lower, upper, c_n, *_extend(lower, upper, c_n, se_ext))
 
 
 def confidence_set(
@@ -312,7 +335,8 @@ def summary_mode_infer(
     ``components``.
     """
     _check_contrast(m_hat, se)
-    interval, vc = _interval_and_components(m_hat, se, pi, epsilon, regime)
+    interval = _identified_set(m_hat, pi, epsilon, regime)
+    vc = _endpoint_components(m_hat, se, pi, regime, epsilon)
     return interval, confidence_set(interval.lower, interval.upper, vc, alpha)
 
 
@@ -322,18 +346,6 @@ def _check_contrast(m_hat: float, se: float) -> None:
         raise ValueError(f"contrast m_hat must be finite, got {m_hat}")
     if not (math.isfinite(se) and se > 0.0):
         raise ValueError(f"standard error must be finite and positive, got {se}")
-
-
-def _interval_and_components(
-    m_hat: float, se: float, pi: float, epsilon: float | None, regime: SignRegime
-) -> tuple[IdentifiedInterval, VarianceComponents]:
-    """The identified set at (pi, epsilon) and its endpoint SEs: the part of
-    :func:`summary_mode_infer` before C_n."""
-    if epsilon is None:
-        interval = identified_set_benchmark(m_hat, pi, regime)
-    else:
-        interval = identified_set_imperfect(m_hat, pi, epsilon, regime)
-    return interval, _endpoint_components(m_hat, se, pi, regime, epsilon)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -31,12 +31,10 @@ from .bounds import (
 )
 from .cic import CicData
 from .inference import (
-    DegenerateVarianceError,
     _check_alpha,
-    _extend,
-    contrast_moments,
+    _contrast_and_se,
+    _sets,
     contrast_se,
-    critical_value_cn,
 )
 from .panel import CohortPanel, GTransform, TwoPeriodPanel
 
@@ -432,15 +430,16 @@ REPLICATION_BLOCK = 32
 
 
 def _coverage_block(job) -> np.ndarray:
-    """(interval lower, interval upper, extension SE) for replications
-    start..stop-1.
+    """(m_hat, se) of the DID contrast for replications start..stop-1, one
+    row each.
 
     Each replication draws from its own derive_seed generator, exactly as
     :func:`generate_two_period` would, and only its outcome changes and
-    treatment indicators are kept; moments, intervals and endpoint SEs are
-    then computed for the whole block at once.
+    treatment indicators are kept; the contrasts and their SEs (the
+    arithmetic of :func:`contrast_se`) are then computed for the whole
+    block at once.
     """
-    cfg, pi, start, stop = job
+    cfg, start, stop = job
     dy = np.empty((stop - start, cfg.n))
     d = np.empty((stop - start, cfg.n), dtype=bool)
     # an overflow leaves inf or nan in dy, which contrast_moments rejects
@@ -448,17 +447,7 @@ def _coverage_block(job) -> np.ndarray:
         for row, rep in enumerate(range(start, stop)):
             y0, y1, d[row] = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg)
             np.subtract(y1, y0, out=dy[row])
-    m_hat, var_m = contrast_moments(dy, d)
-    fa, fb = endpoint_scale_factors(pi, cfg.regime())
-    lower = np.minimum(m_hat * fa, m_hat * fb)
-    upper = np.maximum(m_hat * fa, m_hat * fb)
-    # (sd * factor) / sqrt(n): this order keeps mean_cs_length's last digit
-    se = np.sqrt(var_m) * max(fa, fb) / math.sqrt(cfg.n)
-    if not (se > 0.0).all():
-        raise DegenerateVarianceError(
-            "zero variance for both interval endpoints; outcomes are degenerate"
-        )
-    return np.column_stack((lower, upper, se))
+    return np.column_stack(_contrast_and_se(dy, d))
 
 
 def _point_tables(
@@ -471,16 +460,16 @@ def _point_tables(
     """(table, C_n) per grid point: the (reps, 3) table of
     :func:`coverage_replications` and the replications' critical values.
 
-    C_n is solved once per grid point, over its replications in order.
+    The sets of a grid point come from one array call over its
+    replications in order, with the arithmetic of :func:`summary_mode_infer`.
     """
     _check_alpha(alpha)
     if reps < 1:
         raise ValueError("reps must be positive")
+    factors = [endpoint_scale_factors(pi_for_estimator, cfg.regime()) for cfg in cfg_grid]
     starts = range(0, reps, REPLICATION_BLOCK)
     jobs = [
-        (cfg, pi_for_estimator, start, min(start + REPLICATION_BLOCK, reps))
-        for cfg in cfg_grid
-        for start in starts
+        (cfg, start, min(start + REPLICATION_BLOCK, reps)) for cfg in cfg_grid for start in starts
     ]
     if workers > 1:
         # imported here, since a run on one worker never needs them
@@ -497,13 +486,11 @@ def _point_tables(
         blocks = [_coverage_block(job) for job in jobs]
     k = len(starts)
     out = []
-    for cfg, i in zip(cfg_grid, range(0, len(blocks), k)):
-        lower, upper, se = np.concatenate(blocks[i : i + k]).T
-        width = upper - lower
-        c_n = critical_value_cn(width, se, alpha)
-        cs_lower, cs_upper = _extend(lower, upper, c_n, se)
+    for cfg, (fa, fb), i in zip(cfg_grid, factors, range(0, len(blocks), k)):
+        m_hat, se = np.concatenate(blocks[i : i + k]).T
+        lower, upper, c_n, cs_lower, cs_upper = _sets(m_hat, se, fa, fb, alpha)
         covered = (cs_lower <= cfg.mu) & (cfg.mu <= cs_upper)
-        out.append((np.column_stack((covered, width, cs_upper - cs_lower)), c_n))
+        out.append((np.column_stack((covered, upper - lower, cs_upper - cs_lower)), c_n))
     return out
 
 

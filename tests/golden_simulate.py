@@ -28,8 +28,8 @@ _GRIDS = ["--pi-grid", "0,0.1,0.5,0.9", "--epsilon-grid", "0,0.25,1"]
 # name -> argv; the first argv element names the directory of the files
 CASES = {
     # simulate: every scenario, benchmark on 1 and 2 workers, a
-    # falsification run, a threshold failure (student_t, exit 1) and a
-    # typed usage error
+    # falsification run, a threshold failure (student_t, exit 1), a typed
+    # usage error and a same-sign regime
     "benchmark_w1": ["simulate", "--scenario", "benchmark", *_SMALL, "--workers", "1"],
     "benchmark_w2": ["simulate", "--scenario", "benchmark", *_SMALL, "--workers", "2"],
     "benchmark_student_t": [
@@ -47,9 +47,25 @@ CASES = {
     "toy": ["simulate", "--scenario", "toy", "--n", "400", "--seed", "6"],
     "staggered": ["simulate", "--scenario", "staggered", "--n", "400", "--seed", "7"],
     "identity": ["simulate", "--scenario", "identity", *_SMALL, "--seed", "8"],
-    # estimate: per-stratum sets from a committed panel
+    "benchmark_same_sign": [
+        "simulate", "--scenario", "benchmark", *_SMALL, "--mu", "0.3", "--tau", "0.2",
+        "--seed", "9",
+    ],
+    # estimate: per-stratum sets from a committed panel, with the flags
+    # that each stratum reads
     "stratum_json": ["estimate", "--input", STRATA_CSV, "--pi", "stratum", "--format", "json"],
     "stratum_text": ["estimate", "--input", STRATA_CSV, "--pi", "stratum"],
+    "stratum_epsilon_json": [
+        "estimate", "--input", STRATA_CSV, "--pi", "stratum", "--epsilon", "0.3",
+        "--format", "json",
+    ],
+    "stratum_contradiction_text": [
+        "estimate", "--input", STRATA_CSV, "--pi", "stratum", "--sign-mu", "neg",
+    ],
+    "stratum_flip_json": [
+        "estimate", "--input", STRATA_CSV, "--pi", "stratum", "--sign-mu", "neg",
+        "--auto-flip-sign", "--format", "json",
+    ],
     # infer in summary mode: both sign regimes, imperfect anticipation, a
     # known-zero tau, a sign contradiction, an overflowing width and a
     # usage error

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from antebounds import cli
-from antebounds.bounds import SignRegime, identified_set_benchmark
+from antebounds.bounds import SignRegime, identified_set_benchmark, identified_set_imperfect
 from antebounds.cli import CliError, main, resolve_workers
 from antebounds.panel import load_two_period, treatment_ratio
 
@@ -747,3 +747,62 @@ class TestInferContrastSe:
         assert set(panel["sigma"]) == {"se_l", "se_u", "se_m", "se"}
         assert panel["sigma"]["se"] == max(panel["sigma"]["se_l"], panel["sigma"]["se_u"])
         assert summary["t_tilde"] == panel["t_tilde"]
+
+
+# stratum A has a positive contrast (1), stratum B a negative one (-2)
+MIXED_STRATA = (
+    "unit_id,y0,y1,d,stratum\n"
+    "a,1,3,1,A\nb,1,3,1,A\nc,0,1,0,A\ne,0,1,0,A\ne2,0,1,0,A\n"
+    "f,1,0,1,B\ng,1,0,1,B\nh,0,1,0,B\ni,0,1,0,B\n"
+)
+
+
+class TestStratumFlags:
+    """``--pi stratum`` reads --epsilon and --auto-flip-sign, and checks
+    each stratum's contrast against the declared sign, as the plain path
+    does for the whole panel."""
+
+    @pytest.fixture
+    def mixed_csv(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(MIXED_STRATA)
+        return str(path)
+
+    def _strata(self, capsys, mixed_csv, *flags):
+        code, out, err = run(capsys, [
+            "estimate", "--input", mixed_csv, "--pi", "stratum", "--format", "json", *flags,
+        ])
+        assert code == 0 and err == ""
+        return json.loads(out)["results"]
+
+    def test_epsilon_reaches_every_stratum(self, capsys, mixed_csv):
+        results = self._strata(capsys, mixed_csv, "--epsilon", "0.3", "--sign-mu", "neg")
+        panel = load_two_period(MIXED_STRATA)
+        for label, entry in results["strata"].items():
+            iv = entry["interval"]
+            assert (iv["theorem_tag"], iv["epsilon"]) == ("imperfect", 0.3)
+            want = identified_set_imperfect(
+                entry["m_hat"], treatment_ratio(panel, label), 0.3, SignRegime(-1, -1)
+            )
+            assert (iv["lower"], iv["upper"]) == want.as_tuple()
+
+    def test_sign_contradiction_warns_for_its_stratum(self, capsys, mixed_csv):
+        results = self._strata(capsys, mixed_csv, "--sign-mu", "pos")
+        (warning,) = results["warnings"]
+        assert warning.startswith("stratum B: estimated contrast -2 contradicts declared")
+        assert {e["interval"]["sign_mu"] for e in results["strata"].values()} == {1}
+        code, _, err = run(capsys, [
+            "estimate", "--input", mixed_csv, "--pi", "stratum", "--sign-mu", "pos",
+        ])
+        assert code == 0
+        assert err == f"warning: {warning}\n"
+
+    def test_auto_flip_sign_flips_only_the_contradicting_stratum(self, capsys, mixed_csv):
+        results = self._strata(capsys, mixed_csv, "--sign-mu", "pos", "--auto-flip-sign")
+        assert results["warnings"] == []
+        strata = results["strata"]
+        assert (strata["A"]["interval"]["sign_mu"], strata["B"]["interval"]["sign_mu"]) == (1, -1)
+        want = identified_set_benchmark(strata["B"]["m_hat"], 0.5, SignRegime(-1, -1))
+        assert (strata["B"]["interval"]["lower"], strata["B"]["interval"]["upper"]) == (
+            want.as_tuple()
+        )

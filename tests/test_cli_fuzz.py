@@ -4,9 +4,10 @@ Each example starts from a valid ``estimate``, ``infer``, ``sensitivity``
 or ``cic`` command line and a small valid panel file, mutates some flag
 values and some CSV bytes, and runs ``cli.main`` in this process.  Every
 run must exit 0, 1, 2 or 3 (argparse's own usage errors exit 2) and print
-no traceback.  A table test runs ``simulate`` with every flag each
-scenario reads set to each of a list of awkward values, and checks the
-output as well as the exit code.  Nothing here starts a worker process.
+no traceback.  Table tests run ``simulate``, ``infer --summary`` and
+``sensitivity --summary`` with every flag they read set to each of a list
+of awkward values, and check the output and the warnings as well as the
+exit code.  Nothing here starts a worker process.
 """
 
 from __future__ import annotations
@@ -172,10 +173,41 @@ def test_every_run_exits_in_contract_without_traceback(csv_path, invocation):
     assert "internal error" not in err.getvalue(), (argv, csv_text, err.getvalue())
 
 
+def _no_constants(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _run_in_contract(argv: list[str]) -> tuple[int, dict | None]:
+    """Run ``argv`` and check the exit contract: no Python warning, no
+    traceback or internal error; exit 0 or 1 prints strict JSON and nothing
+    on stderr; any other exit prints nothing on stdout and one typed error
+    line on stderr (argparse's usage text aside).  Returns the exit code and
+    the parsed report (None on an error exit)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    where = (argv, code, out[:200], err)
+    assert raised == [], where
+    assert "internal error" not in err and "Traceback" not in err, where
+    if code in (0, 1):
+        assert err == "", where
+        return code, json.loads(out, parse_constant=_no_constants)
+    assert code in (2, 3) and out == "", where
+    lines = err.splitlines()
+    typed = len(lines) == 1 and lines[0].startswith(("error:", "numerical failure:"))
+    usage = code == 2 and lines[-1].startswith(f"antebounds {argv[0]}: error:")
+    assert typed or usage, where
+    return code, None
+
+
 # ``simulate``: every flag a scenario reads, at each awkward value.  A
-# threshold verdict (exit 1) still prints its report; any other non-zero
-# exit prints nothing on stdout and one error line on stderr (argparse's
-# usage text aside).
+# threshold verdict (exit 1) still prints its report.
 SIMULATE_COMMON = [
     "--n", "--seed", "--mu", "--tau", "--p-treat", "--noise-sd", "--noise-rho",
     "--noise-dist", "--delta", "--coverage-threshold",
@@ -190,10 +222,6 @@ SIMULATE_FLAGS = {
 SIMULATE_VALUES = ["", ",", "nan", "inf", "-inf", "-1", "0", "1e400", "1e308", "abc"]
 
 
-def _no_constants(token):
-    raise ValueError(f"non-standard JSON constant {token}")
-
-
 @pytest.mark.parametrize(
     "scenario,flag",
     [(s, f) for s, flags in SIMULATE_FLAGS.items() for f in SIMULATE_COMMON + flags],
@@ -202,26 +230,67 @@ def test_simulate_flag_values_keep_the_exit_contract(scenario, flag):
     for value in SIMULATE_VALUES:
         argv = ["simulate", "--scenario", scenario, "--n", "24", "--reps", "4",
                 "--lambda-grid", "0", "--workers", "1", flag, value]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as raised:
-            warnings.simplefilter("always")
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-        out, err = out.getvalue(), err.getvalue()
-        where = (flag, value, code, out[:200], err)
-        assert raised == [], where
-        assert "internal error" not in err and "Traceback" not in err, where
-        if code in (0, 1):
-            results = json.loads(out, parse_constant=_no_constants)["results"]
+        code, report = _run_in_contract(argv)
+        if report is not None:
+            results = report["results"]
             verdict = results.get("verdict", "pass" if results.get("passed") else "fail")
-            assert (code == 1) == (verdict == "fail"), where
-            assert err == "", where
-        else:
-            assert code in (2, 3) and out == "", where
-            lines = err.splitlines()
-            typed = len(lines) == 1 and lines[0].startswith(("error:", "numerical failure:"))
-            usage = code == 2 and lines[-1].startswith("antebounds simulate: error:")
-            assert typed or usage, where
+            assert (code == 1) == (verdict == "fail"), (flag, value, code)
+
+
+# ``infer`` and ``sensitivity`` in summary mode: every flag they read, at
+# each awkward value.  A key of --summary is set through its own token; the
+# value of --pi goes after ``const:``.  Neither command has a threshold, so
+# exit 1 never occurs, and a sensitivity report has a row for every point
+# of the requested grids.
+SUMMARY_ARGV = {
+    "infer": ["--pi", "const:0.4", "--format", "json"],
+    "sensitivity": ["--pi-grid", "0,0.3", "--epsilon-grid", "0,0.5", "--format", "json"],
+}
+SUMMARY_FLAGS = {
+    "infer": ["m", "se", "n", "--pi", "--epsilon", "--alpha", "--sign-mu", "--sign-tau"],
+    "sensitivity": ["m", "se", "n", "--pi-grid", "--epsilon-grid", "--alpha", "--sign-mu",
+                    "--sign-tau"],
+}
+SUMMARY_VALUES = SIMULATE_VALUES + ["1e-320", "0.9", "-0.5"]
+
+
+def _summary_argv(command: str, flag: str, value: str) -> list[str]:
+    summary = {"m": "0.013", "se": "0.0046"}
+    argv = [command, *SUMMARY_ARGV[command]]
+    if flag in ("m", "se", "n"):
+        summary[flag] = value
+    else:
+        argv += [flag, f"const:{value}" if flag == "--pi" else value]
+    return argv + ["--summary", *(f"{k}={v}" for k, v in summary.items())]
+
+
+def _check_summary_report(command: str, argv: list[str], code: int, report) -> None:
+    assert code != 1, argv
+    if report is None:
+        return
+    results, config = report["results"], report["manifest"]["config"]
+    if command == "sensitivity":
+        points = len(config["pi_grid"]) * len(config["epsilon_grid"] or [None])
+        assert points > 0 and len(results["rows"]) == points, argv
+    else:
+        cs = results["confidence_set"]
+        assert cs["lower"] <= cs["upper"], argv
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in SUMMARY_FLAGS.items() for f in flags]
+)
+def test_summary_flag_values_keep_the_exit_contract(command, flag):
+    for value in SUMMARY_VALUES:
+        argv = _summary_argv(command, flag, value)
+        _check_summary_report(command, argv, *_run_in_contract(argv))
+
+
+@pytest.mark.parametrize("grid", [["--pi-grid", "0,0.9"], ["--pi", "const:0.9"]])
+def test_overflowing_width_keeps_the_exit_contract(grid):
+    # 1e308 / (1 - 0.9) overflows float64: one error line, no numpy warning
+    command = "sensitivity" if grid[0] == "--pi-grid" else "infer"
+    argv = [command, "--summary", "m=1e308", "se=1", "--sign-tau", "pos", *grid,
+            "--format", "json"]
+    code, report = _run_in_contract(argv)
+    assert (code, report) == (2, None)

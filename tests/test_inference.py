@@ -331,6 +331,13 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="interval width must be finite"):
             sensitivity_sweep(1e308, 0.1, 1, [(0.0, None), (0.9, None)], SAME, 0.95)
 
+    def test_overflowing_confidence_set(self):
+        # a finite SE whose extension C_n * se overflows to inf
+        with pytest.raises(ValueError, match="confidence set overflows"):
+            summary_mode_infer(0.013, 1e308, 0.4, None, OPP, 0.95)
+        with pytest.raises(ValueError, match="confidence set overflows"):
+            sensitivity_sweep(0.013, 1e308, 1, [(0.0, None), (0.3, None)], OPP, 0.95)
+
 
 class TestEndToEndPanelInference:
     def test_full_pipeline_matches_summary_mode(self):

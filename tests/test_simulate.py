@@ -8,12 +8,19 @@ import pytest
 
 from antebounds.bounds import did_estimand, identified_set_benchmark, staggered_estimand
 from antebounds.cic import counterfactual_quantile
-from antebounds.inference import bound_variances, confidence_set
+from antebounds.inference import (
+    bound_variances,
+    confidence_set,
+    contrast_se,
+    summary_mode_infer,
+)
 from antebounds.panel import GTransform
 from antebounds.simulate import (
     REPLICATION_BLOCK,
     CicDgpConfig,
     DgpConfig,
+    _coverage_block,
+    _point_tables,
     coverage_replications,
     coverage_study,
     decomposition_check,
@@ -357,6 +364,28 @@ class TestBlockEngine:
         point = coverage_study([cfg], 0.4, 0.95, reps).points[0]
         assert point.mean_c_n == pytest.approx(float(np.mean(c_n)), rel=1e-12)
         assert point.to_dict()["mean_c_n"] == point.mean_c_n
+
+    @pytest.mark.parametrize("mu,tau", [(0.3, 0.2), (0.3, -0.2)])
+    def test_rows_are_summary_mode_infer_on_the_block_contrasts(self, mu, tau):
+        # each row, and its C_n, is the scalar inference core applied to
+        # that replication's own (m_hat, se), bit for bit; that se is
+        # contrast_se of the replication's panel
+        cfg = DgpConfig(n=150, mu=mu, tau=tau, lam=0.3, seed=68)
+        pi, alpha, reps = 0.4, 0.95, B + 7
+        contrasts = np.concatenate(
+            [_coverage_block((cfg, start, min(start + B, reps))) for start in range(0, reps, B)]
+        )
+        for rep, se in enumerate(contrasts[:, 1].tolist()):
+            panel = generate_two_period(replace(cfg, seed=derive_seed(cfg.seed, rep)))
+            assert se.hex() == contrast_se(panel, IDY).hex()
+        (engine,) = coverage_replications([cfg], pi, alpha, reps)
+        ((_, c_n),) = _point_tables([cfg], pi, alpha, reps, workers=1)
+        assert engine.shape == (reps, 3)
+        for (m_hat, se), row, c in zip(contrasts.tolist(), engine.tolist(), c_n.tolist()):
+            interval, cs = summary_mode_infer(m_hat, se, pi, None, cfg.regime(), alpha)
+            want = [float(cs.contains(cfg.mu)), interval.width, cs.upper - cs.lower]
+            assert [x.hex() for x in row] == [x.hex() for x in want]
+            assert c.hex() == cs.c_n.hex()
 
     def test_rows_keyed_by_replication_index(self):
         # a replication's row depends on its index only, not on the grid

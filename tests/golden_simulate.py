@@ -20,10 +20,16 @@ from antebounds.cli import main
 
 GOLDEN_ROOT = Path(__file__).parent / "golden"
 STRATA_CSV = str(GOLDEN_ROOT / "inputs" / "strata.csv")
+# one 20-unit panel in both layouts
+WIDE_CSV = str(GOLDEN_ROOT / "inputs" / "panel_wide.csv")
+LONG_CSV = str(GOLDEN_ROOT / "inputs" / "panel_long.csv")
 
 _SMALL = ["--n", "60", "--reps", "40"]
 _SUMMARY = ["--summary", "m=0.013", "se=0.0046"]
 _GRIDS = ["--pi-grid", "0,0.1,0.5,0.9", "--epsilon-grid", "0,0.25,1"]
+_WIDE = ["--input", WIDE_CSV]
+_LONG = ["--input", LONG_CSV, "--layout", "long"]
+_CIC = ["cic", "--input", LONG_CSV, "--q", "0.1,0.25,0.5,0.75,0.9", "--pi", "0.3"]
 
 # name -> argv; the first argv element names the directory of the files
 CASES = {
@@ -99,6 +105,35 @@ CASES = {
         "sensitivity", "--summary", "m=1e308", "se=1", "--pi-grid", "0,0.9",
         "--sign-tau", "pos",
     ],
+    # estimate with a constant and a treatment-ratio cap, wide and long
+    "const_wide_json": ["estimate", *_WIDE, "--pi", "const:0.4", "--format", "json"],
+    "const_long_text": ["estimate", *_LONG, "--pi", "const:0.4", "--epsilon", "0.2"],
+    "ratio_wide_text": ["estimate", *_WIDE, "--pi", "treatment-ratio"],
+    "ratio_long_json": [
+        "estimate", *_LONG, "--pi", "treatment-ratio", "--g", "indicator:0.8",
+        "--format", "json",
+    ],
+    # infer from a panel, wide and long, JSON and text
+    "panel_wide_json": ["infer", *_WIDE, "--pi", "const:0.4", "--format", "json"],
+    "panel_wide_text": ["infer", *_WIDE, "--pi", "treatment-ratio", "--sign-tau", "pos"],
+    "panel_long_json": [
+        "infer", *_LONG, "--pi", "const:0.3", "--epsilon", "0.25", "--format", "json",
+    ],
+    "panel_long_text": ["infer", *_LONG, "--pi", "const:0.4"],
+    # sensitivity from a panel, wide and long, JSON and text
+    "sweep_wide_json": ["sensitivity", *_WIDE, *_GRIDS, "--format", "json"],
+    "sweep_wide_text": ["sensitivity", *_WIDE, *_GRIDS, "--sign-tau", "pos"],
+    "sweep_long_json": ["sensitivity", *_LONG, *_GRIDS, "--sign-tau", "pos", "--format", "json"],
+    "sweep_long_text": ["sensitivity", *_LONG, *_GRIDS],
+    # cic: each sign of mu with each sign of tau, JSON and text, and a
+    # known-zero tau
+    **{
+        f"cic_{mu}_{tau}_{fmt}": [*_CIC, "--sign-mu", mu, "--sign-tau", tau, "--format", fmt]
+        for mu in ("pos", "neg")
+        for tau in ("pos", "neg")
+        for fmt in ("json", "text")
+    },
+    "cic_pos_zero_json": [*_CIC, "--sign-tau", "zero", "--format", "json"],
 }
 
 

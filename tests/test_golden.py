@@ -42,6 +42,6 @@ def test_simulate_goldens_byte_identical():
     _check_command("simulate")
 
 
-@pytest.mark.parametrize("command", ["estimate", "infer", "sensitivity"])
+@pytest.mark.parametrize("command", ["estimate", "infer", "sensitivity", "cic"])
 def test_command_goldens_byte_identical(command):
     _check_command(command)

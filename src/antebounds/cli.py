@@ -19,7 +19,9 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
 from functools import partial
+from itertools import islice
 
 from . import __version__
 from .bounds import (
@@ -54,6 +56,12 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# Report pieces joined into one write.  With an unbuffered stdout every
+# write is a system call, and a JSON report has about 28 pieces per
+# sensitivity row, so a few thousand keep the writes few and each one a
+# few tens of kB.
+_WRITE_BATCH = 4096
 
 
 class CliError(ValueError):
@@ -199,8 +207,19 @@ def _manifest(command: str, config: dict, input_digest: dict, outputs, seed=None
     return manifest
 
 
-def _json_report(manifest: dict, results: dict) -> str:
-    return json.dumps({"manifest": manifest, "results": results}, sort_keys=True, indent=2)
+def _json_report(manifest: dict, results: dict) -> Iterator[str]:
+    """The pieces of ``json.dumps(report, sort_keys=True, indent=2)``, from
+    the same encoder, produced as ``main`` writes them."""
+    report = {"manifest": manifest, "results": results}
+    return json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+
+
+def _text_report(lines: list[str]) -> Iterator[str]:
+    """The pieces of ``"\n".join(lines)``."""
+    yield lines[0]
+    for line in islice(lines, 1, None):
+        yield "\n"
+        yield line
 
 
 def _fmt(x, nd: int = 6) -> str:
@@ -219,9 +238,11 @@ def _fmt(x, nd: int = 6) -> str:
 
 def _add_contrast_flags(p: argparse.ArgumentParser) -> None:
     """The flags of every command that reads a DID contrast from a panel."""
+    # --layout and --g default to None so that summary mode can tell them
+    # given; _panel_flags fills in wide and identity
     p.add_argument("--input", help="panel CSV path")
-    p.add_argument("--layout", default="wide", choices=("wide", "long"))
-    p.add_argument("--g", default="identity", help="identity | indicator:<u>")
+    p.add_argument("--layout", choices=("wide", "long"), help="wide (default) | long")
+    p.add_argument("--g", help="identity (default) | indicator:<u>")
     p.add_argument("--sign-mu", default="pos", help="pos | neg")
     p.add_argument("--sign-tau", default="neg", help="pos | neg | zero")
     p.add_argument("--auto-flip-sign", action="store_true",
@@ -237,7 +258,22 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
                    help="wrong-anticipation rate (imperfect-anticipation bounds)")
 
 
+def _panel_flags(args) -> None:
+    """Reject --input, --g and --layout in summary mode, which reads no
+    panel, then fill in the defaults of --g and --layout, which the
+    manifest records in either mode."""
+    if getattr(args, "summary", None):
+        given = [f"--{name}" for name in ("input", "g", "layout") if getattr(args, name) is not None]
+        if given:
+            raise CliError(f"--summary reads no panel, so {', '.join(given)} cannot be given with it")
+    if args.g is None:
+        args.g = "identity"
+    if args.layout is None:
+        args.layout = "wide"
+
+
 def _estimate_payload(args):
+    _panel_flags(args)
     if not args.input:
         raise CliError("--input is required")
     panel, digest = _load_panel(args.input, args.layout)
@@ -282,7 +318,7 @@ def _estimate_payload(args):
     return digest, results
 
 
-def cmd_estimate(args) -> tuple[int, str]:
+def cmd_estimate(args) -> tuple[int, Iterable[str]]:
     digest, results = _estimate_payload(args)
     config = {
         "g": args.g,
@@ -305,9 +341,9 @@ def cmd_estimate(args) -> tuple[int, str]:
                 f"  stratum {label}: m-hat {_fmt(entry['m_hat'])}  pi {_fmt(entry['pi'])}  "
                 f"set [{_fmt(iv['lower'])}, {_fmt(iv['upper'])}]"
             )
-        return EXIT_OK, "\n".join(lines)
+        return EXIT_OK, _text_report(lines)
     iv = results["interval"]
-    return EXIT_OK, "\n".join([
+    return EXIT_OK, _text_report([
         f"m-hat: {_fmt(results['m_hat'])}",
         f"pi:    {_fmt(results['pi'])} ({results['pi_policy']})",
         f"signs: {results['regime']}",
@@ -334,6 +370,7 @@ def _add_infer_flags(p: argparse.ArgumentParser) -> None:
 def _contrast(args):
     """(m_hat, se_m, panel, digest): the DID contrast and its standard error
     from ``--summary`` (panel None) or from the ``--input`` panel."""
+    _panel_flags(args)
     if args.summary:
         summ = _parse_summary(args.summary)
         return summ["m"], summ["se"], None, {"summary": summ}
@@ -382,7 +419,7 @@ def _infer_payload(args):
     return digest, results
 
 
-def cmd_infer(args) -> tuple[int, str]:
+def cmd_infer(args) -> tuple[int, Iterable[str]]:
     digest, results = _infer_payload(args)
     config = {
         "g": args.g,
@@ -410,7 +447,7 @@ def cmd_infer(args) -> tuple[int, str]:
     ]
     if results["robust_null"] is not None:
         lines.append(f"zero-effect null: {results['robust_null']}")
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, _text_report(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +462,7 @@ def _add_sensitivity_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon-grid", default=None, help="comma-separated epsilon values")
 
 
-def cmd_sensitivity(args) -> tuple[int, str]:
+def cmd_sensitivity(args) -> tuple[int, Iterable[str]]:
     regime = _parse_regime(args.sign_mu, args.sign_tau)
     pis = _parse_float_list(args.pi_grid, "--pi-grid")
     eps_grid = (
@@ -471,7 +508,7 @@ def cmd_sensitivity(args) -> tuple[int, str]:
         eps = "" if r.epsilon is None else repr(r.epsilon)
         lines.append(f"{r.pi!r},{eps},{r.set_lower!r},{r.set_upper!r},{r.cs_lower!r},{r.cs_upper!r}")
     lines.append(f"# robustness_cutoff_pi={'none' if cutoff is None else repr(cutoff)}")
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, _text_report(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +524,7 @@ def _add_cic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="text", choices=("text", "json"))
 
 
-def cmd_cic(args) -> tuple[int, str]:
+def cmd_cic(args) -> tuple[int, Iterable[str]]:
     regime = _parse_regime(args.sign_mu, args.sign_tau)
     qs = _parse_float_list(args.q, "--q")
     panel, digest = _load_panel(args.input, "long")
@@ -529,7 +566,7 @@ def cmd_cic(args) -> tuple[int, str]:
             f"{_fmt(r['phi_l']):<10} {_fmt(r['phi_tilde_u']):<10} "
             f"{_fmt(r['phi_tilde_l']):<10} {set_txt}"
         )
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, _text_report(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +607,7 @@ def _add_simulate_flags(p: argparse.ArgumentParser) -> None:
                    help="tag the run as a falsification study (assumption-violating)")
 
 
-def cmd_simulate(args) -> tuple[int, str]:
+def cmd_simulate(args) -> tuple[int, Iterable[str]]:
     scenario = args.scenario
     base = dict(
         n=args.n,
@@ -661,20 +698,32 @@ _HANDLERS = {
 }
 
 
+def _write_report(pieces: Iterable[str]) -> None:
+    """Write a report to stdout, ``_WRITE_BATCH`` pieces at a time, then its
+    final newline, so that no copy of the whole text is ever made."""
+    pieces = iter(pieces)
+    try:
+        while batch := list(islice(pieces, _WRITE_BATCH)):
+            sys.stdout.write("".join(batch))
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`... | head`), which is no
+        # defect.  Point stdout at os.devnull so that the flush at exit
+        # cannot fail again (the recipe in the Python `signal` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code, report = _HANDLERS[args.command](args)
-        try:
-            print(report, flush=True)
-        except BrokenPipeError:
-            # The reader closed stdout early (`... | head`), which is no
-            # defect.  Point stdout at os.devnull so that the flush at exit
-            # cannot fail again (the recipe in the Python `signal` docs).
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        # A handler returns only once its report is complete, so an error
+        # exit leaves stdout empty.
+        code, pieces = _HANDLERS[args.command](args)
+        _write_report(pieces)
         return code
     except ValueError as exc:  # CliError and PanelFormatError among them
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -533,21 +534,27 @@ class TestPanelModeExtras:
 
 
 class ClosedStdout(io.TextIOBase):
-    """A stdout whose reader has gone: every write raises, as on a pipe
-    that ``head`` closed.  ``fileno`` is a real descriptor, so the CLI can
-    point it at os.devnull."""
+    """A stdout whose reader goes away: the first ``good_writes`` writes
+    reach the descriptor, and every later one raises, as on a pipe that
+    ``head`` closed.  ``fileno`` is a real descriptor, so the CLI can point
+    it at os.devnull."""
 
-    def __init__(self, fd: int):
+    def __init__(self, fd: int, good_writes: int = 0):
         self.fd = fd
+        self.good_writes = good_writes
 
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        if self.good_writes == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.good_writes -= 1
+        return os.write(self.fd, text.encode())
 
     def fileno(self):
         return self.fd
 
 
 class TestClosedStdout:
+    @pytest.mark.parametrize("good_writes", [0, 1])
     @pytest.mark.parametrize("argv, verdict", [
         (["sensitivity", "--summary", "m=0.013", "se=0.0046", "--pi-grid", "0.1,0.5",
           "--format", "json"], 0),
@@ -555,10 +562,12 @@ class TestClosedStdout:
         (["simulate", "--scenario", "benchmark", "--n", "200", "--reps", "50",
           "--seed", "13", "--coverage-threshold", "0.9999"], 1),
     ])
-    def test_verdict_kept_and_stdout_discarded(self, capsys, monkeypatch, tmp_path, argv, verdict):
+    def test_verdict_kept_and_stdout_discarded(
+        self, capsys, monkeypatch, tmp_path, argv, verdict, good_writes
+    ):
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
-            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd, good_writes))
             code = main(argv)
             assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
         finally:
@@ -684,6 +693,115 @@ class TestSummaryN:
         with pytest.raises(SystemExit):
             main(["infer", "--help"])
         assert "only recorded in the manifest" in " ".join(capsys.readouterr().out.split())
+
+
+class TestSummaryReadsNoPanel:
+    @pytest.mark.parametrize("command,extra", [
+        ("infer", ["--pi", "const:0.3"]),
+        ("sensitivity", ["--pi-grid", "0.1,0.3"]),
+    ])
+    @pytest.mark.parametrize("flags,named", [
+        (["--g", "banana"], "--g"),
+        (["--g", "identity"], "--g"),
+        (["--layout", "long"], "--layout"),
+        (["--input", "/nonexistent"], "--input"),
+        (["--input", "panel.csv", "--layout", "wide"], "--input, --layout"),
+    ])
+    def test_panel_flags_are_usage_errors(self, capsys, command, extra, flags, named):
+        argv = [command, "--summary", "m=1", "se=0.2", *extra, *flags, "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --summary reads no panel, so {named} cannot be given with it\n"
+
+    def test_manifest_records_the_defaults(self, capsys):
+        argv = ["infer", "--summary", "m=1", "se=0.2", "--pi", "const:0.3", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        config = json.loads(out)["manifest"]["config"]
+        assert code == 0 and (config["g"], config["layout"]) == ("identity", "wide")
+
+
+class CountingStdout(io.TextIOBase):
+    """A stdout that discards what it is given and counts the writes, the
+    characters and the longest write."""
+
+    def __init__(self):
+        self.writes = 0
+        self.chars = 0
+        self.longest = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        self.longest = max(self.longest, len(text))
+        return len(text)
+
+
+# a sweep of 990 x 21 = 20,790 (pi, epsilon) points: about 580k report
+# pieces and 4.5 MB of JSON
+DENSE_SWEEP = [
+    "sensitivity", "--summary", "m=0.013", "se=0.0046",
+    "--pi-grid", ",".join(repr(round(0.001 * i, 3)) for i in range(990)),
+    "--epsilon-grid", ",".join(repr(round(0.05 * i, 2)) for i in range(21)),
+]
+
+
+class TestReportWriter:
+    @pytest.fixture(scope="class")
+    def dense_json(self):
+        """The dense sweep's payload as the handler built it, and stdout."""
+        payloads, real = [], cli._json_report
+
+        def spy(manifest, results):
+            payloads.append({"manifest": manifest, "results": results})
+            return real(manifest, results)
+
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_json_report", spy)
+            mp.setattr(sys, "stdout", out)
+            assert main(DENSE_SWEEP + ["--format", "json"]) == 0
+        (payload,) = payloads
+        return payload, out.getvalue()
+
+    def test_json_is_the_one_shot_dump(self, dense_json):
+        payload, out = dense_json
+        assert len(payload["results"]["rows"]) == 990 * 21
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_text_is_the_joined_lines(self, capsys, dense_json):
+        results = dense_json[0]["results"]
+        lines = ["pi,epsilon,set_l,set_u,cs_l,cs_u"] + [
+            ",".join(repr(r[k]) for k in ("pi", "epsilon", "set_l", "set_u", "cs_l", "cs_u"))
+            for r in results["rows"]
+        ]
+        lines.append(f"# robustness_cutoff_pi={results['robustness_cutoff_pi']!r}")
+        code, out, _ = run(capsys, DENSE_SWEEP)
+        assert code == 0 and out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_writes_are_batched(self, monkeypatch, fmt):
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(DENSE_SWEEP + ["--format", fmt]) == 0
+        # the JSON report has 8 lines a row, the text report 1
+        lines = 990 * 21 * (8 if fmt == "json" else 1)
+        assert stdout.chars > 1_000_000
+        assert 2 <= stdout.writes <= lines // 100
+        assert stdout.longest < stdout.chars // 10  # no write holds the whole report
+
+    def test_peak_memory_follows_the_payload(self, monkeypatch):
+        # Joining the whole report (and print encoding it again) made the
+        # traced peak about 8.9 times the report's length; written in
+        # batches, it is about 2.7 times, mostly the payload itself.
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            assert main(DENSE_SWEEP + ["--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * stdout.chars, (peak, stdout.chars)
 
 
 class TestSingleTreatedStratum:

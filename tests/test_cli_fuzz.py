@@ -4,10 +4,11 @@ Each example starts from a valid ``estimate``, ``infer``, ``sensitivity``
 or ``cic`` command line and a small valid panel file, mutates some flag
 values and some CSV bytes, and runs ``cli.main`` in this process.  Every
 run must exit 0, 1, 2 or 3 (argparse's own usage errors exit 2) and print
-no traceback.  Table tests run ``simulate``, ``infer --summary`` and
-``sensitivity --summary`` with every flag they read set to each of a list
-of awkward values, and check the output and the warnings as well as the
-exit code.  Nothing here starts a worker process.
+no traceback.  Table tests run ``simulate``, every other subcommand on a
+committed panel, and ``infer`` and ``sensitivity`` in summary mode, with
+every flag they read set to each of a list of awkward values, and check
+the output and the warnings as well as the exit code.  Nothing here
+starts a worker process.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -293,3 +295,78 @@ def test_overflowing_width_keeps_the_exit_contract(command, grid):
             "--format", "json"]
     code, report = _run_in_contract(argv)
     assert (code, report) == (2, None)
+
+
+# ``estimate``, ``infer`` and ``sensitivity`` on a committed panel, and
+# ``cic`` on the same panel in long layout: every flag that takes a value,
+# at each awkward value.  The value of --pi goes after ``const:`` (except
+# for cic, whose --pi is a number) and that of --g after ``indicator:``.
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+PANEL_ARGV = {
+    "estimate": ["--input", str(GOLDEN_INPUTS / "panel_wide.csv"), "--pi", "const:0.4"],
+    "infer": ["--input", str(GOLDEN_INPUTS / "panel_wide.csv"), "--pi", "const:0.4"],
+    "sensitivity": [
+        "--input", str(GOLDEN_INPUTS / "panel_wide.csv"), "--pi-grid", "0,0.3",
+        "--epsilon-grid", "0,0.5",
+    ],
+    "cic": ["--input", str(GOLDEN_INPUTS / "panel_long.csv"), "--q", "0.25,0.5", "--pi", "0.3"],
+}
+_CONTRAST_FLAGS = ["--input", "--layout", "--g", "--sign-mu", "--sign-tau", "--format"]
+PANEL_FLAGS = {
+    "estimate": _CONTRAST_FLAGS + ["--pi", "--epsilon"],
+    "infer": _CONTRAST_FLAGS + ["--pi", "--epsilon", "--alpha"],
+    "sensitivity": _CONTRAST_FLAGS + ["--alpha", "--pi-grid", "--epsilon-grid"],
+    "cic": ["--input", "--q", "--pi", "--sign-mu", "--sign-tau", "--format"],
+}
+
+
+# The awkward values each flag accepts on purpose; every other value is an
+# error exit.  All of them lie in the flag's domain.
+_UNIT = {"0", "1e-320", "0.9"}  # a cap or a wrong-anticipation rate in [0, 1)
+PANEL_ACCEPTED = {
+    **{key: _UNIT for key in [("estimate", "--pi"), ("infer", "--pi"), ("cic", "--pi"),
+                              ("estimate", "--epsilon"), ("infer", "--epsilon"),
+                              ("sensitivity", "--pi-grid")]},
+    # an empty --epsilon-grid means no epsilon grid
+    ("sensitivity", "--epsilon-grid"): _UNIT | {""},
+    ("infer", "--alpha"): {"0.9"},  # alpha in (0.5, 1)
+    ("sensitivity", "--alpha"): {"0.9"},
+    ("cic", "--q"): {"1e-320", "0.9"},  # quantile levels in (0, 1)
+    # any finite indicator threshold; one outside the outcomes' range
+    # (0.167 to 2.17) makes every g(y) equal, so the point contrast is 0, and
+    # the standard error is 0 too: a numerical failure (exit 3) where an
+    # SE is needed
+    ("estimate", "--g"): {"-1", "0", "1e308", "1e-320", "0.9", "-0.5"},
+    ("infer", "--g"): {"0.9"},
+    ("sensitivity", "--g"): {"0.9"},
+}
+
+
+def _panel_argv(command: str, flag: str, value: str) -> list[str]:
+    if flag == "--pi" and command != "cic":
+        value = f"const:{value}"
+    elif flag == "--g":
+        value = f"indicator:{value}"
+    return [command, *PANEL_ARGV[command], "--format", "json", flag, value]
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in PANEL_FLAGS.items() for f in flags]
+)
+def test_panel_flag_values_keep_the_exit_contract(command, flag):
+    for value in SUMMARY_VALUES:
+        argv = _panel_argv(command, flag, value)
+        code, report = _run_in_contract(argv)
+        assert (code == 0) == (value in PANEL_ACCEPTED.get((command, flag), ())), argv
+        assert code in (0, 2) or (code == 3 and flag == "--g"), argv
+        if report is None:
+            continue
+        results, config = report["results"], report["manifest"]["config"]
+        if command == "sensitivity":
+            points = len(config["pi_grid"]) * len(config["epsilon_grid"] or [None])
+            assert len(results["rows"]) == points, argv
+        elif command == "cic":
+            assert len(results["rows"]) == len(config["q"]), argv
+        else:
+            interval = results["interval"]
+            assert interval["lower"] <= interval["upper"], argv

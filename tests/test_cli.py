@@ -554,7 +554,6 @@ class ClosedStdout(io.TextIOBase):
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("good_writes", [0, 1])
     @pytest.mark.parametrize("argv, verdict", [
         (["sensitivity", "--summary", "m=0.013", "se=0.0046", "--pi-grid", "0.1,0.5",
           "--format", "json"], 0),
@@ -562,18 +561,20 @@ class TestClosedStdout:
         (["simulate", "--scenario", "benchmark", "--n", "200", "--reps", "50",
           "--seed", "13", "--coverage-threshold", "0.9999"], 1),
     ])
-    def test_verdict_kept_and_stdout_discarded(
-        self, capsys, monkeypatch, tmp_path, argv, verdict, good_writes
-    ):
-        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-        try:
-            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd, good_writes))
-            code = main(argv)
-            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
-        finally:
-            os.close(fd)
-        assert code == verdict
-        assert capsys.readouterr().err == ""
+    def test_verdict_kept_and_stdout_discarded(self, capsys, monkeypatch, tmp_path, argv, verdict):
+        # the reader is gone before the first write, or after it
+        for good_writes in (0, 1):
+            path = tmp_path / f"stdout{good_writes}"
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+            try:
+                monkeypatch.setattr(sys, "stdout", ClosedStdout(fd, good_writes))
+                code = main(argv)
+                assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+            finally:
+                os.close(fd)
+            assert code == verdict
+            assert capsys.readouterr().err == ""
+            assert (path.stat().st_size > 0) == (good_writes > 0)
 
 
 class TestExitContract:

@@ -17,13 +17,13 @@ import contextlib
 import io
 import json
 import warnings
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from antebounds.cli import main
+from golden_simulate import LONG_CSV, WIDE_CSV
 
 WIDE = ["unit_id,y0,y1,d,stratum"] + [
     f"u{i},{0.1 * i:.3f},{0.3 + 0.17 * i + 0.4 * (i % 2):.3f},{i % 2},{'AB'[i % 3 == 0]}"
@@ -301,15 +301,11 @@ def test_overflowing_width_keeps_the_exit_contract(command, grid):
 # ``cic`` on the same panel in long layout: every flag that takes a value,
 # at each awkward value.  The value of --pi goes after ``const:`` (except
 # for cic, whose --pi is a number) and that of --g after ``indicator:``.
-GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 PANEL_ARGV = {
-    "estimate": ["--input", str(GOLDEN_INPUTS / "panel_wide.csv"), "--pi", "const:0.4"],
-    "infer": ["--input", str(GOLDEN_INPUTS / "panel_wide.csv"), "--pi", "const:0.4"],
-    "sensitivity": [
-        "--input", str(GOLDEN_INPUTS / "panel_wide.csv"), "--pi-grid", "0,0.3",
-        "--epsilon-grid", "0,0.5",
-    ],
-    "cic": ["--input", str(GOLDEN_INPUTS / "panel_long.csv"), "--q", "0.25,0.5", "--pi", "0.3"],
+    "estimate": ["--input", WIDE_CSV, "--pi", "const:0.4"],
+    "infer": ["--input", WIDE_CSV, "--pi", "const:0.4"],
+    "sensitivity": ["--input", WIDE_CSV, "--pi-grid", "0,0.3", "--epsilon-grid", "0,0.5"],
+    "cic": ["--input", LONG_CSV, "--q", "0.25,0.5", "--pi", "0.3"],
 }
 _CONTRAST_FLAGS = ["--input", "--layout", "--g", "--sign-mu", "--sign-tau", "--format"]
 PANEL_FLAGS = {

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, count, filterfalse, islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 __all__ = [
     "PanelFormatError",
@@ -84,31 +85,42 @@ class GTransform:
         return self.kind
 
 
-def _distinct(ids: Sequence) -> bool:
-    """Whether the ids are distinct; a range is, by construction.
+def _first_repeat(ids: Sequence, hashes: np.ndarray | None = None) -> int | None:
+    """Index of the first id equal to an earlier one, or None when the ids
+    are distinct; a range is, by construction.
 
-    Sorts the ids' hashes, 8 bytes an id, in place of building a set of
-    them.  Equal ids hash equal, so if no two adjacent hashes tie, no two
-    ids are equal; only a tie falls back to the exact set test.
+    Sorts the ids' hashes (``hashes`` if given, sorted in place), 8 bytes
+    an id, in place of building a set of them.  Equal ids hash equal, so
+    if no two adjacent hashes tie, no two ids are equal; only a tie falls
+    back to comparing the ids themselves.
     """
     if isinstance(ids, range):
-        return True
-    hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
+        return None
+    if hashes is None:
+        hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
     hashes.sort()
     if not (hashes[1:] == hashes[:-1]).any():
-        return True
-    return len(set(ids)) == len(ids)
-
-
-def _check_distinct(ids: Sequence) -> None:
-    """Raise naming the first id that repeats an earlier one."""
-    if _distinct(ids):
-        return
+        return None
     seen: set = set()
-    for uid in ids:
+    for k, uid in enumerate(ids):
         if uid in seen:
-            raise PanelFormatError(f"unit_id {uid!r} repeats an earlier unit_id")
+            return k
         seen.add(uid)
+    return None
+
+
+def _check_distinct(
+    ids: Sequence, hashes: np.ndarray | None = None, row: int | None = None
+) -> None:
+    """Raise naming the first id that repeats an earlier one, and its row
+    when ``row``, the row number of ``ids[0]``, is given."""
+    k = _first_repeat(ids, hashes)
+    if k is None:
+        return
+    message = f"unit_id {ids[k]!r} repeats an earlier unit_id"
+    if row is None:
+        raise PanelFormatError(message)
+    raise PanelFormatError(message, row=row + k, field="unit_id")
 
 
 @dataclass(frozen=True)
@@ -119,16 +131,21 @@ class TwoPeriodPanel:
     Anticipation status is deliberately absent: it is unobservable and only
     synthetic data-generating processes know it.  ``unit_ids`` holds
     distinct labels; a ``range`` (as generated panels use) is taken as
-    distinct without a check.
+    distinct without a check.  Loaded panels hold their ids and strata
+    as packed text arrays (numpy ``StringDType``, a missing field as
+    None), whose items index as ``str``.
     """
 
     unit_ids: Sequence
     y0: np.ndarray
     y1: np.ndarray
     d: np.ndarray
-    strata: tuple | None = None
+    strata: Sequence | None = None
+    # set by the loader and by restrict_to_stratum, whose ids are already
+    # known to be distinct
+    _ids_distinct: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _ids_distinct: bool) -> None:
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
         object.__setattr__(self, "y1", np.asarray(self.y1, dtype=float))
         object.__setattr__(self, "d", np.asarray(self.d, dtype=np.int64))
@@ -137,7 +154,8 @@ class TwoPeriodPanel:
             raise PanelFormatError("panel columns must have one entry per unit")
         if self.strata is not None and len(self.strata) != n:
             raise PanelFormatError("stratum column must have one entry per unit")
-        _check_distinct(self.unit_ids)
+        if not _ids_distinct:
+            _check_distinct(self.unit_ids)
         if not (np.isfinite(self.y0).all() and np.isfinite(self.y1).all()):
             raise PanelFormatError("outcomes must be finite reals")
         if not np.isin(self.d, (0, 1)).all():
@@ -163,9 +181,10 @@ class TwoPeriodPanel:
     def _stratum_index(self) -> tuple[dict, np.ndarray]:
         """Stratum label -> code in first-appearance order, and each unit's
         code; built in one pass and kept, so every stratum mask after the
-        first is one numpy comparison."""
+        first is one numpy comparison.  The labels are read from the
+        column once, since each read of a packed column makes new str."""
         index: dict = {}
-        return index, _codes(index, self.strata)
+        return index, _codes(index, list(self.strata))
 
     def stratum_labels(self) -> tuple:
         """Distinct stratum labels in first-appearance order; a single
@@ -189,12 +208,14 @@ class TwoPeriodPanel:
         mask = self.stratum_mask(label)
         if self.strata is None:
             return self
+        ids = self.unit_ids
         return TwoPeriodPanel(
-            unit_ids=tuple(compress(self.unit_ids, mask)),
+            unit_ids=ids[mask] if isinstance(ids, np.ndarray) else tuple(compress(ids, mask)),
             y0=self.y0[mask],
             y1=self.y1[mask],
             d=self.d[mask],
             strata=None,
+            _ids_distinct=True,
         )
 
 
@@ -344,6 +365,18 @@ def _parse_t(raw: str, row_num: int) -> int:
     return int(raw)
 
 
+def _parse_text(raw: str | None, row_num: int, field: str) -> None:
+    """Reject a lone surrogate, which a str source can hold but a packed
+    text column, stored as UTF-8, cannot."""
+    if raw is not None and not raw.isascii():
+        try:
+            raw.encode()
+        except UnicodeEncodeError:
+            raise PanelFormatError(
+                f"lone surrogate in {raw!r}", row=row_num, field=field
+            ) from None
+
+
 def _open_reader(source) -> tuple[csv.DictReader, Iterator[str]]:
     """A DictReader that has read the header, and the line iterator it
     reads from, positioned at the first line after the header."""
@@ -398,6 +431,11 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
 CHUNK_ROWS = 8192
 
 _BINARY = frozenset(("0", "1"))
+
+# Unit ids and strata are kept packed: up to 15 UTF-8 bytes inline in 16
+# bytes an item, longer ones in the array's own arena, in place of one
+# Python str an item.  A field beyond the end of a short row is None.
+_TEXT = StringDType(na_object=None)
 
 
 def _column_chunks(reader: csv.DictReader, lines: Iterator[str], names: Sequence[str]):
@@ -504,6 +542,12 @@ def _floats(column: list) -> np.ndarray:
     return np.fromiter(map(float, column), dtype=float, count=len(column))
 
 
+def _text(column: list) -> np.ndarray:
+    # not np.fromiter: with numpy 2.4.6, concatenating a StringDType array
+    # that np.fromiter built can crash the interpreter
+    return np.array(column, dtype=_TEXT)
+
+
 def _binary(column: list) -> np.ndarray:
     """0/1 values of a column already checked to hold only "0" and "1"."""
     return np.frombuffer("".join(column).encode(), dtype=np.uint8) - ord("0")
@@ -527,30 +571,45 @@ def _load_wide(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "y0", "y1", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
     names = ("unit_id", "y0", "y1", "d") + (("stratum",) if has_stratum else ())
-    parsers = (partial(_parse_float, field="y0"), partial(_parse_float, field="y1"), _parse_d)
-    ids, y0s, y1s, ds, strata = [], [], [], [], []
-    for row_num, (uid, y0, y1, d, *stratum) in _column_chunks(reader, lines, names):
+    parsers = (
+        partial(_parse_text, field="unit_id"),
+        partial(_parse_float, field="y0"),
+        partial(_parse_float, field="y1"),
+        _parse_d,
+        partial(_parse_text, field="stratum"),
+    )
+    ids, hashes, y0s, y1s, ds, strata = [], [], [], [], [], []
+    for row_num, columns in _column_chunks(reader, lines, names):
+        uid, y0, y1, d, *stratum = columns
         try:
             a0, a1 = _floats(y0), _floats(y1)
             ok = np.isfinite(a0).all() and np.isfinite(a1).all() and _BINARY.issuperset(d)
-        except (TypeError, ValueError):
+            if ok:
+                texts = [_text(column) for column in (uid, *stratum)]
+        except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
             ok = False
         if not ok:
-            raise _first_bad_row(row_num, (y0, y1, d), parsers)[1]
-        ids += uid
+            raise _first_bad_row(row_num, columns, parsers)[1]
+        # hashed while the ids are still str, for the distinct check
+        hashes.append(np.fromiter(map(hash, uid), dtype=np.int64, count=len(uid)))
+        ids.append(texts[0])
+        strata += texts[1:]
         y0s.append(a0)
         y1s.append(a1)
         ds.append(_binary(d))
-        if has_stratum:
-            strata += stratum[0]
     if not ids:
         raise PanelFormatError("no data rows")
+    unit_ids = np.concatenate(ids)
+    del ids
+    _check_distinct(unit_ids, np.concatenate(hashes), row=2)
+    del hashes
     return TwoPeriodPanel(
-        unit_ids=tuple(ids),
+        unit_ids=unit_ids,
         y0=np.concatenate(y0s),
         y1=np.concatenate(y1s),
         d=np.concatenate(ds),
-        strata=tuple(strata) if has_stratum else None,
+        strata=np.concatenate(strata) if has_stratum else None,
+        _ids_distinct=True,
     )
 
 
@@ -598,7 +657,8 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     code, t, d = map(np.concatenate, (codes, ts, ds))
     s = np.concatenate(ss) if has_stratum else None
     del codes, ts, ds, ss
-    ids = tuple(units)
+    keys = list(units)  # the ids, distinct as dict keys
+    del units
     # the first row of each unit sets its treatment and stratum; a later
     # row that repeats a (unit, period) or changes either is a fault
     first = np.unique(code, return_index=True)[1]
@@ -607,22 +667,38 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     bad = dup | (d != d[first][code])
     if has_stratum:
         bad |= s != s[first][code]
+    # the fault in the earliest row is reported; a read fault ended the
+    # read, so it comes after every row here
+    faults = []
     if bad.any():
         k = int(bad.argmax())
-        row, unit = 2 + k, ids[code[k]]  # rows are numbered from 2, blank ones skipped
+        row, unit = 2 + k, keys[code[k]]  # rows are numbered from 2, blank ones skipped
         if dup[k]:
-            raise PanelFormatError(
+            err = PanelFormatError(
                 f"duplicate (unit, period) for unit {unit!r} at t={int(t[k])}", row=row
             )
-        if d[k] != d[first[code[k]]]:
-            raise PanelFormatError(
+        elif d[k] != d[first[code[k]]]:
+            err = PanelFormatError(
                 f"treatment not constant within unit {unit!r}", row=row, field="d"
             )
-        raise PanelFormatError(
-            f"stratum not constant within unit {unit!r}", row=row, field="stratum"
-        )
+        else:
+            err = PanelFormatError(
+                f"stratum not constant within unit {unit!r}", row=row, field="stratum"
+            )
+        faults.append(err)
+    packed = {}
+    for field, values, where in (("unit_id", keys, code), ("stratum", list(labels), s)):
+        if where is not None:
+            try:
+                packed[field] = _packed(values, where, field)
+            except PanelFormatError as err:
+                faults.append(err)
+    del keys, labels
+    if faults:
+        raise min(faults, key=lambda err: err.row)
     if fault is not None:
         raise fault
+    ids = packed["unit_id"]
     if len(code) < 2 * len(ids):
         # with no repeats, a unit with one row is missing the other period
         i = int(np.bincount(code, minlength=len(ids)).argmin())
@@ -633,10 +709,23 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     y = np.empty((2, len(ids)))
     y[t, code] = np.concatenate(ys)
     del ys
-    strata = None
-    if has_stratum:
-        strata = tuple(map(list(labels).__getitem__, s[first].tolist()))
-    return TwoPeriodPanel(unit_ids=ids, y0=y[0], y1=y[1], d=d[first], strata=strata)
+    strata = packed["stratum"][s[first]] if has_stratum else None
+    return TwoPeriodPanel(
+        unit_ids=ids, y0=y[0], y1=y[1], d=d[first], strata=strata, _ids_distinct=True
+    )
+
+
+def _packed(values: list, where: np.ndarray, field: str) -> np.ndarray:
+    """The distinct ``values`` of a long column as one text array.
+    ``where`` holds each row's index into them, so that a lone surrogate
+    is named at the first row that holds it."""
+    try:
+        return _text(values)
+    except UnicodeEncodeError:
+        rows = np.unique(where, return_index=True)[1].tolist()
+        for raw, k in zip(values, rows):
+            _parse_text(raw, 2 + k, field)
+        raise
 
 
 def load_cohort(source) -> CohortPanel:

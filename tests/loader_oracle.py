@@ -2,7 +2,8 @@
 
 This is the loader as it was before it read by column: one
 ``csv.DictReader`` dict per row, Python ``float`` calls per field, and a
-per-unit record dict in the long layout.  The property tests in
+per-unit record dict in the long layout.  A repeated wide id is named
+with its row, as the loader checks the ids itself.  The property tests in
 ``test_loader_oracle.py`` require the column-wise loader to return an
 equal panel, or to raise a ``PanelFormatError`` with the same message,
 on every input.
@@ -44,6 +45,13 @@ def _load_wide(reader: csv.DictReader) -> TwoPeriodPanel:
             strata.append(row["stratum"])
     if not ids:
         raise PanelFormatError("no data rows")
+    seen: set = set()
+    for row_num, uid in enumerate(ids, start=2):
+        if uid in seen:
+            raise PanelFormatError(
+                f"unit_id {uid!r} repeats an earlier unit_id", row=row_num, field="unit_id"
+            )
+        seen.add(uid)
     return TwoPeriodPanel(
         unit_ids=tuple(ids),
         y0=np.array(y0s),

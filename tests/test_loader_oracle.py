@@ -68,8 +68,10 @@ def assert_same_result(source, layout: str) -> None:
         assert (str(got.value), got.value.row, got.value.field) == (str(exc), exc.row, exc.field)
         return
     got = load_two_period(source, layout)
-    assert got.unit_ids == expected.unit_ids
-    assert got.strata == expected.strata
+    assert tuple(got.unit_ids) == tuple(expected.unit_ids)
+    assert (got.strata is None) == (expected.strata is None)
+    if got.strata is not None:
+        assert tuple(got.strata) == tuple(expected.strata)
     assert got.y0.tobytes() == expected.y0.tobytes()
     assert got.y1.tobytes() == expected.y1.tobytes()
     assert got.d.dtype == expected.d.dtype

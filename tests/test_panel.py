@@ -1,5 +1,8 @@
 """Panel loading, validation, and group-statistics tests."""
 
+import builtins
+import csv
+import io
 import math
 import tracemalloc
 
@@ -8,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antebounds import panel as panel_module
 from antebounds.panel import (
     CohortPanel,
     GTransform,
     PanelFormatError,
     TwoPeriodPanel,
-    _distinct,
+    _first_repeat,
     group_stats,
     load_cohort,
     load_two_period,
@@ -88,6 +92,7 @@ class TestLoaders:
         )
         assert panel.stratum_labels() == ("east", "west")
         assert panel.restrict_to_stratum("west").n == 2
+        assert tuple(panel.restrict_to_stratum("west").unit_ids) == ("c", "e")
 
     def test_cohort_loader(self):
         text = (
@@ -119,6 +124,113 @@ class TestLoaders:
         text = "unit_id,t,y,e\na,1,0.0,2\na,2,1.0,2\n"
         with pytest.raises(PanelFormatError, match="never-treated"):
             load_cohort(text)
+
+
+ODD_TEXT = [
+    "",
+    "nul\x00inside",
+    "ünïcödé",
+    "a" * 15,
+    "a" * 16,
+    "é" * 8,  # 16 UTF-8 bytes in 8 characters
+    "日本語の学校番号",
+    "line\nbreak",
+]
+
+
+def odd_text_csv(layout: str) -> str:
+    """Each of ODD_TEXT as a unit id and as its stratum, written by csv."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if layout == "wide":
+        writer.writerow(["unit_id", "y0", "y1", "d", "stratum"])
+        writer.writerows([uid, k, k + 0.5, k % 2, uid] for k, uid in enumerate(ODD_TEXT))
+    else:
+        writer.writerow(["unit_id", "t", "y", "d", "stratum"])
+        for t in (0, 1):
+            writer.writerows([uid, t, k + t, k % 2, uid] for k, uid in enumerate(ODD_TEXT))
+    return out.getvalue()
+
+
+class TestLoadedTextColumns:
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    def test_odd_ids_and_strata_round_trip(self, layout):
+        panel = load_two_period(odd_text_csv(layout), layout)
+        assert tuple(panel.unit_ids) == tuple(ODD_TEXT)
+        assert tuple(panel.strata) == tuple(ODD_TEXT)
+        assert all(type(uid) is str for uid in panel.unit_ids)
+        assert panel.y0.tolist() == list(range(len(ODD_TEXT)))
+        assert panel.stratum_labels() == tuple(ODD_TEXT)
+
+    def test_a_hash_tie_falls_back_to_comparing_ids(self, monkeypatch):
+        monkeypatch.setattr(panel_module, "hash", lambda _: 0, raising=False)
+        text = "unit_id,y0,y1,d\na,1,2,1\nb,1,2,0\nc,1,2,1\n"
+        assert tuple(load_two_period(text, "wide").unit_ids) == ("a", "b", "c")
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text + "\nc,0,0,0\nb,0,0,0\n", "wide")  # blank lines are not rows
+        assert str(got.value) == "unit_id 'c' repeats an earlier unit_id (row: 5, field: unit_id)"
+        assert (got.value.row, got.value.field) == (5, "unit_id")
+
+    def test_loaded_ids_are_hashed_once(self, monkeypatch):
+        calls = []
+
+        def counting_hash(value):
+            calls.append(value)
+            return builtins.hash(value)
+
+        monkeypatch.setattr(panel_module, "hash", counting_hash, raising=False)
+        wide = "unit_id,y0,y1,d\na,1,2,1\nb,1,2,0\nc,1,2,1\nd,0,0,0\n"
+        assert load_two_period(wide, "wide").n == 4
+        assert calls == ["a", "b", "c", "d"]  # by the loader, not again by the panel
+        calls.clear()
+        long = "unit_id,t,y,d\na,0,1,1\na,1,2,1\nb,0,1,0\nb,1,2,0\n"
+        assert load_two_period(long, "long").n == 2
+        assert calls == []  # the ids are the keys of the loader's unit dict
+
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    @pytest.mark.parametrize("field", ["unit_id", "stratum"])
+    def test_a_lone_surrogate_is_a_format_error(self, layout, field):
+        bad = "b\ud800"
+        uid, stratum = (bad, "B") if field == "unit_id" else ("b", bad)
+        if layout == "wide":
+            # a bad number in a later row of the same chunk is not the one named
+            text = f"unit_id,y0,y1,d,stratum\na,1,2,1,A\n{uid},1,2,0,{stratum}\nc,nan,2,1,A\n"
+        else:
+            # nor is a treatment change in a later row
+            text = (
+                f"unit_id,t,y,d,stratum\na,0,1,1,A\n{uid},0,1,0,{stratum}\n"
+                f"a,1,2,0,A\n{uid},1,2,0,{stratum}\n"
+            )
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, layout)
+        assert (got.value.row, got.value.field) == (3, field)
+        assert str(got.value) == f"lone surrogate in {bad!r} (row: 3, field: {field})"
+
+    def test_an_earlier_fault_comes_before_a_lone_surrogate(self):
+        text = "unit_id,y0,y1,d\na,1,2,7\nb\ud800,1,2,0\n"
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, "wide")
+        assert (got.value.row, got.value.field) == (2, "d")
+        text = "unit_id,t,y,d\na,0,1,1\na,1,2,0\nb\ud800,0,1,0\n"
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, "long")
+        assert (got.value.row, got.value.field) == (3, "d")
+
+    def test_a_loaded_wide_panel_keeps_at_most_48_bytes_a_row(self):
+        n = 20_000
+        text = "unit_id,y0,y1,d\n" + "".join(
+            f"u{i:07d},{i}.5,{-i}.25,{i % 2}\n" for i in range(n)
+        )
+        tracemalloc.start()
+        try:
+            panel = load_two_period(text, "wide")
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert panel.n == n
+        # 16 bytes of packed id and 24 of outcomes and treatment; one str
+        # id a row took about 89
+        assert kept <= 48 * n
 
 
 class TestPanelInvariants:
@@ -277,7 +389,10 @@ class TestDistinct:
         _planted(st.one_of(st.integers(-3, 3), st.floats(-3, 3))),
     ))
     def test_agrees_with_the_set_test(self, ids):
-        assert _distinct(ids) == (len(set(ids)) == len(ids))
+        k = _first_repeat(ids)
+        assert (k is None) == (len(set(ids)) == len(ids))
+        if k is not None:  # the first repeat: ids[k] is in ids[:k], and ids[:k] is distinct
+            assert ids[k] in set(ids[:k]) and len(set(ids[:k])) == k
 
     @pytest.mark.parametrize("ids, distinct", [
         ([-1, -2], True),  # CPython hashes both to -2
@@ -290,16 +405,16 @@ class TestDistinct:
         (["a"], True),
     ])
     def test_a_hash_tie_falls_back_to_equality(self, ids, distinct):
-        assert _distinct(ids) is distinct
+        assert (_first_repeat(ids) is None) is distinct
 
     def test_a_range_is_distinct_without_a_check(self):
-        assert _distinct(range(10**12))
+        assert _first_repeat(range(10**12)) is None
 
     def test_checking_100k_string_ids_stays_small(self):
         ids = tuple(f"unit-{i:07d}" for i in range(100_000))
         tracemalloc.start()
         try:
-            assert _distinct(ids)
+            assert _first_repeat(ids) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

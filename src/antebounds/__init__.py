@@ -11,6 +11,12 @@ a seeded Monte Carlo harness that verifies every bound and coverage claim
 against synthetic data with known ground truth.
 """
 
+import os
+
+# The package makes no BLAS call; without this, numpy's OpenBLAS starts a
+# worker per extra CPU at import, and each spins before it sleeps.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .altbounds import OutcomeBounds, bounded_outcome_set, common_term, trimming_set
 from .bounds import (
     IdentifiedInterval,

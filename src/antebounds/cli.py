@@ -21,7 +21,7 @@ import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 from . import __version__
 from .bounds import (
@@ -58,10 +58,10 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 # Report pieces joined into one write.  With an unbuffered stdout every
-# write is a system call, and a JSON report has about 28 pieces per
-# sensitivity row, so a few thousand keep the writes few and each one a
-# few tens of kB.
-_WRITE_BATCH = 4096
+# write is a system call.  A sensitivity report's pieces are its rows, of
+# about 200 characters in JSON, so a batch is a write of about 50 kB
+# there, and the joined text stays small beside the payload.
+_WRITE_BATCH = 256
 
 
 class CliError(ValueError):
@@ -214,10 +214,11 @@ def _json_report(manifest: dict, results: dict) -> Iterator[str]:
     return json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
 
 
-def _text_report(lines: list[str]) -> Iterator[str]:
+def _text_report(lines: Iterable[str]) -> Iterator[str]:
     """The pieces of ``"\n".join(lines)``."""
-    yield lines[0]
-    for line in islice(lines, 1, None):
+    lines = iter(lines)
+    yield next(lines)
+    for line in lines:
         yield "\n"
         yield line
 
@@ -462,6 +463,36 @@ def _add_sensitivity_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon-grid", default=None, help="comma-separated epsilon values")
 
 
+# Stands in for the rows of a sensitivity report while the encoder
+# formats the rest; _with_sweep_rows puts the rows' text in its place.
+_ROWS = "\0sweep rows\0"
+
+# One row as json.dumps(report, sort_keys=True, indent=2) lays it out at
+# its depth.  Every number is a finite float, which the sweep ensures and
+# whose repr is its JSON.
+_SWEEP_ROW = (
+    '      {\n        "cs_l": %r,\n        "cs_u": %r,\n        "epsilon": %s,\n'
+    '        "pi": %r,\n        "set_l": %r,\n        "set_u": %r\n      }'
+)
+
+
+def _with_sweep_rows(report: Iterable[str], rows) -> Iterator[str]:
+    """``report``'s pieces, with the piece of ``_ROWS`` replaced by the
+    list of ``rows`` (at least one), one piece a row: the rows are never
+    dicts, nor encoded piece by piece."""
+    placeholder = json.dumps(_ROWS)
+    for piece in report:
+        if piece != placeholder:
+            yield piece
+            continue
+        sep = "[\n"
+        for r in rows:
+            eps = "null" if r.epsilon is None else repr(r.epsilon)
+            yield sep + _SWEEP_ROW % (r.cs_lower, r.cs_upper, eps, r.pi, r.set_lower, r.set_upper)
+            sep = ",\n"
+        yield "\n    ]"
+
+
 def cmd_sensitivity(args) -> tuple[int, Iterable[str]]:
     regime = _parse_regime(args.sign_mu, args.sign_tau)
     pis = _parse_float_list(args.pi_grid, "--pi-grid")
@@ -486,29 +517,17 @@ def cmd_sensitivity(args) -> tuple[int, Iterable[str]]:
         "se": se,
     }
     if args.format == "json":
-        results = {
-            "rows": [
-                {
-                    "pi": r.pi,
-                    "epsilon": r.epsilon,
-                    "set_l": r.set_lower,
-                    "set_u": r.set_upper,
-                    "cs_l": r.cs_lower,
-                    "cs_u": r.cs_upper,
-                }
-                for r in rows
-            ],
-            "robustness_cutoff_pi": cutoff,
-            "warnings": caught,
-        }
-        return EXIT_OK, _json_report(_manifest("sensitivity", config, digest, results.keys()), results)
+        results = {"rows": _ROWS, "robustness_cutoff_pi": cutoff, "warnings": caught}
+        report = _json_report(_manifest("sensitivity", config, digest, results.keys()), results)
+        return EXIT_OK, _with_sweep_rows(report, rows)
     _print_warnings(caught)
-    lines = ["pi,epsilon,set_l,set_u,cs_l,cs_u"]
-    for r in rows:
-        eps = "" if r.epsilon is None else repr(r.epsilon)
-        lines.append(f"{r.pi!r},{eps},{r.set_lower!r},{r.set_upper!r},{r.cs_lower!r},{r.cs_upper!r}")
-    lines.append(f"# robustness_cutoff_pi={'none' if cutoff is None else repr(cutoff)}")
-    return EXIT_OK, _text_report(lines)
+    lines = (
+        f"{r.pi!r},{'' if r.epsilon is None else repr(r.epsilon)},"
+        f"{r.set_lower!r},{r.set_upper!r},{r.cs_lower!r},{r.cs_upper!r}"
+        for r in rows
+    )
+    footer = f"# robustness_cutoff_pi={'none' if cutoff is None else repr(cutoff)}"
+    return EXIT_OK, _text_report(chain(["pi,epsilon,set_l,set_u,cs_l,cs_u"], lines, [footer]))
 
 
 # ---------------------------------------------------------------------------

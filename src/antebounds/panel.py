@@ -379,7 +379,9 @@ def _parse_text(raw: str | None, row_num: int, field: str) -> None:
 
 def _open_reader(source) -> tuple[csv.DictReader, Iterator[str]]:
     """A DictReader that has read the header, and the line iterator it
-    reads from, positioned at the first line after the header."""
+    reads from, positioned at the first line after the header.  For a
+    text stream, and a str or bytes source, which is read as one, the
+    iterator is the stream itself."""
     if isinstance(source, bytes):
         try:
             source = source.decode()
@@ -451,12 +453,14 @@ def _column_chunks(reader: csv.DictReader, lines: Iterator[str], names: Sequence
     """
     where = {name: j for j, name in enumerate(reader.fieldnames)}
     index = [where[name] for name in names]
+    # each line a text stream yields but its last ends in its line break
+    from_stream = isinstance(lines, io.TextIOBase)
     row_num = 2
     while True:
         chunk = list(islice(lines, CHUNK_ROWS))
         if not chunk:
             return
-        columns = _split_on_commas(chunk, index)
+        columns = _split_on_commas(chunk, index, from_stream)
         if columns is None:
             break
         yield row_num, columns
@@ -489,7 +493,7 @@ def _column_chunks(reader: csv.DictReader, lines: Iterator[str], names: Sequence
 _PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
-def _split_on_commas(chunk: list, index: Sequence[int]) -> list | None:
+def _split_on_commas(chunk: list, index: Sequence[int], from_stream: bool) -> list | None:
     """The indexed columns of ``chunk``, a list of lines, split on commas;
     or None when csv must read it.  A chunk that is split is emptied, so
     that its lines are freed before the fields are built.
@@ -498,7 +502,9 @@ def _split_on_commas(chunk: list, index: Sequence[int]) -> list | None:
     comma-separated parts: the lines hold no quote, CR or NUL; each line
     but the last ends in its only newline; every line has the same number
     of commas, at least one (so no line is blank); and no line is longer
-    than the csv field size limit.
+    than the csv field size limit.  Lines ``from_stream`` end in their
+    line break, which must be the newline when no CR is in them, so only
+    other sources' line ends are checked.
     """
     try:
         text = "".join(chunk)
@@ -517,7 +523,7 @@ def _split_on_commas(chunk: list, index: Sequence[int]) -> list | None:
     if not commas or marks != expected:
         return None
     # with the newline count right, this puts each newline at a line's end
-    if not all(map(str.endswith, islice(chunk, n - 1), repeat("\n"))):
+    if not from_stream and not all(map(str.endswith, islice(chunk, n - 1), repeat("\n"))):
         return None
     if max(map(len, chunk)) > csv.field_size_limit():
         return None

@@ -9,6 +9,7 @@ import pytest
 
 from antebounds.bounds import (
     SignRegime,
+    SweepRow,
     conditional_estimand,
     did_estimand,
     identified_set_benchmark,
@@ -390,6 +391,14 @@ class TestSensitivitySweep:
         crossing = [r.pi for r in rows if r.cs_lower < 0]
         assert min(crossing) == 0.75  # first grid point past the cutoff
         assert robustness_cutoff(rows) == 0.75
+        # a confidence set that ends exactly at zero contains it
+        edge = [
+            SweepRow(0.6, None, 0.1, 0.2, -0.1, 0.3),
+            SweepRow(0.3, None, 0.1, 0.2, 0.0, 0.3),
+            SweepRow(0.2, None, -0.2, -0.1, -0.3, 0.0),
+        ]
+        assert robustness_cutoff(edge) == 0.2
+        assert robustness_cutoff(edge[:2]) == 0.3
 
     def test_zero_grid_matches_plain_interval(self):
         rows = sensitivity_sweep(0.5, 0.1, 1, [(0.0, None)], OPP, 0.95)

@@ -10,9 +10,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antebounds import cli
-from antebounds.bounds import SignRegime, identified_set_benchmark, identified_set_imperfect
+from antebounds.bounds import (
+    SignRegime,
+    SweepRow,
+    identified_set_benchmark,
+    identified_set_imperfect,
+    sensitivity_sweep,
+)
 from antebounds.cli import CliError, main, resolve_workers
 from antebounds.panel import load_two_period, treatment_ratio
 
@@ -737,23 +745,37 @@ class CountingStdout(io.TextIOBase):
         return len(text)
 
 
-# a sweep of 990 x 21 = 20,790 (pi, epsilon) points: about 580k report
-# pieces and 4.5 MB of JSON
+# a sweep of 990 x 21 = 20,790 (pi, epsilon) points: 4.5 MB of JSON
+DENSE_PIS = [round(0.001 * i, 3) for i in range(990)]
+DENSE_EPSILONS = [round(0.05 * i, 2) for i in range(21)]
 DENSE_SWEEP = [
     "sensitivity", "--summary", "m=0.013", "se=0.0046",
-    "--pi-grid", ",".join(repr(round(0.001 * i, 3)) for i in range(990)),
-    "--epsilon-grid", ",".join(repr(round(0.05 * i, 2)) for i in range(21)),
+    "--pi-grid", ",".join(map(repr, DENSE_PIS)),
+    "--epsilon-grid", ",".join(map(repr, DENSE_EPSILONS)),
 ]
+
+
+def sweep_row_dict(r) -> dict:
+    return {
+        "pi": r.pi,
+        "epsilon": r.epsilon,
+        "set_l": r.set_lower,
+        "set_u": r.set_upper,
+        "cs_l": r.cs_lower,
+        "cs_u": r.cs_upper,
+    }
 
 
 class TestReportWriter:
     @pytest.fixture(scope="class")
     def dense_json(self):
-        """The dense sweep's payload as the handler built it, and stdout."""
+        """The dense sweep's payload, and stdout.  The manifest, cutoff and
+        warnings are the handler's; the rows, which the handler formats
+        itself, are built here from sensitivity_sweep on the same grid."""
         payloads, real = [], cli._json_report
 
         def spy(manifest, results):
-            payloads.append({"manifest": manifest, "results": results})
+            payloads.append({"manifest": manifest, "results": dict(results)})
             return real(manifest, results)
 
         out = io.StringIO()
@@ -762,6 +784,9 @@ class TestReportWriter:
             mp.setattr(sys, "stdout", out)
             assert main(DENSE_SWEEP + ["--format", "json"]) == 0
         (payload,) = payloads
+        grid = [(pi, eps) for pi in DENSE_PIS for eps in DENSE_EPSILONS]
+        rows = sensitivity_sweep(0.013, 0.0046, 1, grid, SignRegime(1, -1), 0.95)
+        payload["results"]["rows"] = [sweep_row_dict(r) for r in rows]
         return payload, out.getvalue()
 
     def test_json_is_the_one_shot_dump(self, dense_json):
@@ -803,6 +828,36 @@ class TestReportWriter:
         finally:
             tracemalloc.stop()
         assert peak < 4 * stdout.chars, (peak, stdout.chars)
+
+
+# finite floats, with -0.0, subnormals and exponents near +-308 among them
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-307,
+               -1.7976931348623157e308, 1.5e308, 0.1, 1e16, 1e-5]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+SWEEP_ROWS = st.lists(
+    st.builds(SweepRow, FINITE, st.none() | FINITE, FINITE, FINITE, FINITE, FINITE),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestSweepRowText:
+    """The rows of a JSON sensitivity report, formatted without the
+    encoder, are the bytes json.dumps gives them."""
+
+    @given(rows=SWEEP_ROWS, cutoff=st.none() | FINITE)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_json_dumps(self, rows, cutoff):
+        manifest = {"command": "sensitivity", "outputs": ["robustness_cutoff_pi", "rows", "warnings"]}
+        results = {"rows": cli._ROWS, "robustness_cutoff_pi": cutoff, "warnings": ["w"]}
+        out = "".join(cli._with_sweep_rows(cli._json_report(manifest, results), rows))
+        results["rows"] = [sweep_row_dict(r) for r in rows]
+        assert out == json.dumps({"manifest": manifest, "results": results}, sort_keys=True, indent=2)
+
+    def test_one_piece_a_row(self):
+        rows = [SweepRow(0.1 * k, None, 1.0, 2.0, 0.5, 2.5) for k in range(3)]
+        pieces = list(cli._with_sweep_rows(iter(["{", json.dumps(cli._ROWS), "}"]), rows))
+        assert len(pieces) == len(rows) + 3  # "{", a row each, the closing "]" and "}"
 
 
 class TestSingleTreatedStratum:

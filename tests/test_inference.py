@@ -245,6 +245,9 @@ class TestRobustNull:
 
     def test_not_robust(self):
         assert robust_null_check(2.0, 0.95, OPP) == NOT_ROBUST
+        # |t| must exceed t*; t* itself is not robust
+        assert robust_null_check(tstar(0.95), 0.95, OPP) == NOT_ROBUST
+        assert robust_null_check(-tstar(0.95), 0.95, OPP) == NOT_ROBUST
 
     def test_absolute_value(self):
         assert robust_null_check(-3.5, 0.95, OPP) == ROBUSTLY_REJECTED

@@ -284,7 +284,7 @@ def reconcile_regime(
     return regime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One sensitivity-grid point: identified set and confidence set."""
 

@@ -115,11 +115,13 @@ class CicData:
 
     @staticmethod
     def from_panel(panel) -> "CicData":
+        treated = panel.d == 1  # d is 0 or 1, so ~treated is d == 0
+        control = ~treated
         return CicData.from_samples(
-            treated_t0=panel.y0[panel.d == 1],
-            treated_t1=panel.y1[panel.d == 1],
-            control_t0=panel.y0[panel.d == 0],
-            control_t1=panel.y1[panel.d == 0],
+            treated_t0=panel.y0[treated],
+            treated_t1=panel.y1[treated],
+            control_t0=panel.y0[control],
+            control_t1=panel.y1[control],
         )
 
     @property

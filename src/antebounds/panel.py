@@ -158,7 +158,8 @@ class TwoPeriodPanel:
             _check_distinct(self.unit_ids)
         if not (np.isfinite(self.y0).all() and np.isfinite(self.y1).all()):
             raise PanelFormatError("outcomes must be finite reals")
-        if not np.isin(self.d, (0, 1)).all():
+        # two comparisons, not np.isin, which sorts
+        if not ((self.d == 0) | (self.d == 1)).all():
             raise PanelFormatError("treatment indicator must be 0 or 1", field="d")
         if self.n_treated < 1 or self.n_control < 1:
             raise PanelFormatError(
@@ -416,7 +417,9 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
 
     The file is read CHUNK_ROWS rows at a time and parsed column by column;
     the first fault in row order is reported, with its row number counting
-    the header as row 1 and skipping blank lines.
+    the header as row 1 and skipping blank lines.  A wide load's peak memory
+    is the parsed columns plus one chunk of lines, or plus one column while
+    it is joined.
     """
     if layout not in ("wide", "long"):
         raise ValueError(f"layout must be 'wide' or 'long', got {layout!r}")
@@ -609,14 +612,15 @@ def _load_wide(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     del ids
     _check_distinct(unit_ids, np.concatenate(hashes), row=2)
     del hashes
-    return TwoPeriodPanel(
-        unit_ids=unit_ids,
-        y0=np.concatenate(y0s),
-        y1=np.concatenate(y1s),
-        d=np.concatenate(ds),
-        strata=np.concatenate(strata) if has_stratum else None,
-        _ids_distinct=True,
-    )
+    # each column joined and its chunks freed before the next is joined
+    y0 = np.concatenate(y0s)
+    del y0s
+    y1 = np.concatenate(y1s)
+    del y1s
+    d = np.concatenate(ds)
+    del ds
+    strata = np.concatenate(strata) if has_stratum else None
+    return TwoPeriodPanel(unit_ids, y0, y1, d, strata, _ids_distinct=True)
 
 
 def _codes(table: dict, keys: list) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Identified-set construction, sign/monotonicity properties, staggered and
 conditional contrasts."""
 
+import dataclasses
 import math
 import warnings
 
@@ -426,3 +427,14 @@ class TestSensitivitySweep:
             1.0, 0.2, 1, [(0.5, 0.3), (0.1, None), (0.5, 0.1)], OPP, 0.95
         )
         assert [(r.pi, r.epsilon) for r in rows] == [(0.1, None), (0.5, 0.1), (0.5, 0.3)]
+
+    def test_rows_are_slotted_values(self):
+        row = sensitivity_sweep(1.0, 0.2, 1, [(0.4, None)], OPP, 0.95)[0]
+        # slots: no per-row __dict__, which took about 48 of a row's bytes
+        assert not hasattr(row, "__dict__")
+        moved = dataclasses.replace(row, pi=0.5)
+        assert (moved.pi, moved.cs_upper) == (0.5, row.cs_upper)
+        assert moved == SweepRow(0.5, None, row.set_lower, row.set_upper, row.cs_lower, row.cs_upper)
+        assert moved != row
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.pi = 0.1

@@ -1,6 +1,7 @@
 """Critical values, variance plug-ins, confidence sets, robust-null cutoff."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ class TestContrastMoments:
         d = np.array([[1, 1, 1, 0, 0, 0]] * 2 + [[1, 0, 0, 0, 0, 0]], dtype=bool)
         with pytest.raises(ValueError, match="group d=1 has 1 unit"):
             contrast_moments(dy, d)
+
+    def test_peak_memory_is_two_buffers(self):
+        n = 200_000
+        rng = np.random.default_rng(43)
+        dy = rng.standard_normal(n)
+        d = np.arange(n) % 3 == 0
+        tracemalloc.start()
+        try:
+            contrast_moments(dy, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float weight buffer and a scratch buffer, with room for a bool
+        # mask; fresh weights, deviations and products took about 6 * 8n
+        assert peak <= 3.25 * 8 * n
 
     @pytest.mark.parametrize("dy", [[1e308, 1e308, 0.0, 1.0], [1e200, -1e200, 0.0, 1.0]])
     def test_overflow_is_named(self, dy):

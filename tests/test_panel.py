@@ -232,6 +232,25 @@ class TestLoadedTextColumns:
         # id a row took about 89
         assert kept <= 48 * n
 
+    def test_loading_a_wide_file_peaks_at_most_70_bytes_a_row(self, tmp_path):
+        n = 200_000
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "unit_id,y0,y1,d\n" + "".join(f"u{i:07d},{i}.5,{-i}.25,{i % 2}\n" for i in range(n))
+        )
+        with open(path) as source:
+            tracemalloc.start()
+            try:
+                panel = load_two_period(source, "wide")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert panel.n == n
+        # the kept columns, one column while it is joined and one chunk of
+        # lines; with every column's chunks alive while it was joined, and
+        # np.isin's sort on d, it was about 81
+        assert peak <= 70 * n
+
 
 class TestPanelInvariants:
     def test_duplicate_unit_ids(self):
@@ -253,6 +272,26 @@ class TestPanelInvariants:
     def test_nonfinite_outcome(self):
         with pytest.raises(PanelFormatError, match="finite"):
             make_panel([np.nan, 2.0], [1.0, 2.0], [1, 0])
+
+    def test_validation_peaks_at_most_4_bytes_a_row(self):
+        n = 200_000
+        y = np.linspace(-1.0, 1.0, n)
+        d = np.arange(n, dtype=np.int64) % 2
+        tracemalloc.start()
+        try:
+            TwoPeriodPanel(range(n), y, y, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a bool per row for each of d == 0, d == 1 and their union;
+        # np.isin's sort took about 19
+        assert peak <= 4 * n
+
+    def test_treatment_must_be_binary(self):
+        message = r"^treatment indicator must be 0 or 1 \(field: d\)$"
+        for bad in (2, -1):
+            with pytest.raises(PanelFormatError, match=message):
+                make_panel([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1, 0, bad])
 
 
 class TestGroupStats:

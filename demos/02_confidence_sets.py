@@ -44,12 +44,11 @@ def main():
 
     m_hat = did_estimand(panel, g)
     interval, cs = summary_mode_infer(m_hat, contrast_se(panel, g), pi, None, regime, 0.95)
-    vc = cs.components
     print(f"\nsimulated panel (n={cfg.n}, true mu={cfg.mu}):")
     print(f"  m-hat          {m_hat:+.4f}")
     print(f"  identified set [{interval.lower:.4f}, {interval.upper:.4f}]")
-    print(f"  SE contrast    {vc.se_m:.4f}")
-    print(f"  SE lower/upper {vc.se_l:.4f}/{vc.se_u:.4f} -> max rules both sides")
+    print(f"  SE contrast    {cs.se_m:.4f}")
+    print(f"  SE lower/upper {cs.se_l:.4f}/{cs.se_u:.4f} -> max rules both sides")
     print(f"  95% CS         [{cs.lower:.4f}, {cs.upper:.4f}]  (C_n = {cs.c_n:.4f})")
     print(f"  covers true mu: {cs.contains(cfg.mu)}")
 

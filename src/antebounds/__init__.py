@@ -45,7 +45,6 @@ from .cic import (
 from .inference import (
     ConfidenceSet,
     DegenerateVarianceError,
-    VarianceComponents,
     bound_variances,
     confidence_set,
     contrast_se,

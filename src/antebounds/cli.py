@@ -395,7 +395,6 @@ def _infer_payload(args):
     caught: list[str] = []
     regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
     interval, cs = summary_mode_infer(m_hat, se_m, pi, args.epsilon, regime, args.alpha)
-    vc = cs.components
     t_tilde = m_hat / se_m
     verdict = None
     if regime.s == -1:
@@ -412,7 +411,7 @@ def _infer_payload(args):
             "alpha": cs.alpha,
             "delta_hat": cs.delta_hat,
         },
-        "sigma": {"se_l": vc.se_l, "se_u": vc.se_u, "se_m": vc.se_m, "se": vc.se},
+        "sigma": {"se_l": cs.se_l, "se_u": cs.se_u, "se_m": cs.se_m, "se": cs.se},
         "t_tilde": t_tilde,
         "robust_null": verdict,
         "warnings": caught,

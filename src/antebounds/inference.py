@@ -10,10 +10,12 @@ C_n solves
 
 C_n interpolates between the one-sided and two-sided normal critical
 values as the estimated interval widens.  Only the contrast m_hat and
-its SE enter (Imbens and Manski 2004, Stoye 2009): :func:`summary_mode_infer`
-is the scalar route from (m_hat, SE) to both sets and ``_sets`` its array
-form (sensitivity sweeps, the coverage engine), panel data only supply
-the SE (:func:`contrast_se`), and published tables need no micro-data.
+its SE enter (Imbens and Manski 2004, Stoye 2009): ``_sets`` is the one
+route from (m_hat, SE) and the endpoint scale factors to C_n and the
+confidence set, for one contrast (:func:`confidence_set`, hence
+:func:`summary_mode_infer`) or arrays of them (sensitivity sweeps, the
+coverage engine).  Panel data only supply the SE (:func:`contrast_se`),
+and published tables need no micro-data.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .panel import GTransform, TwoPeriodPanel
 
 __all__ = [
     "DegenerateVarianceError",
-    "VarianceComponents",
     "ConfidenceSet",
     "contrast_moments",
     "contrast_se",
@@ -65,44 +66,29 @@ class DegenerateVarianceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VarianceComponents:
-    """Standard errors of the two interval endpoints and of the DID
-    contrast ``se_m`` that both rescale.
-
-    ``se`` is the max of the endpoint SEs; the confidence set uses it for
-    both sides.  The endpoint correlation is 1 by the proportional
-    construction and is not stored.
-    """
-
-    se_l: float
-    se_u: float
-    se_m: float
-
-    def __post_init__(self) -> None:
-        if self.se_l < 0 or self.se_u < 0:
-            raise ValueError("endpoint standard errors must be nonnegative")
-        if self.se == 0.0:
-            raise DegenerateVarianceError(
-                "zero variance for both interval endpoints; outcomes are degenerate"
-            )
-
-    @property
-    def se(self) -> float:
-        """max(se_l, se_u), the extension-length scale."""
-        return max(self.se_l, self.se_u)
-
-
-@dataclass(frozen=True)
 class ConfidenceSet:
     """Equal-length extension of the estimated interval on both sides, by
-    ``c_n * components.se``."""
+    ``c_n * se``.
+
+    ``se_l`` and ``se_u`` are the standard errors of the interval's lower
+    and upper endpoints, ``se_m`` that of the DID contrast both rescale.
+    The endpoint correlation is 1 by the proportional construction and is
+    not stored.
+    """
 
     lower: float
     upper: float
     c_n: float
     alpha: float
     delta_hat: float
-    components: VarianceComponents
+    se_l: float
+    se_u: float
+    se_m: float
+
+    @property
+    def se(self) -> float:
+        """max(se_l, se_u), the extension-length scale."""
+        return max(self.se_l, self.se_u)
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
@@ -184,16 +170,10 @@ def _contrast_and_se(dy, d) -> tuple[np.ndarray, np.ndarray]:
     return m_hat, se
 
 
-def _endpoint_components(
-    m_hat: float, se_m: float, pi: float, regime: SignRegime, epsilon: float | None
-) -> VarianceComponents:
-    """The contrast SE times each endpoint's scale factor, in the order of
-    the realized interval sorted(m_hat*fa, m_hat*fb)."""
-    fa, fb = endpoint_scale_factors(pi, regime, epsilon)
-    se_l, se_u = se_m * fa, se_m * fb
-    if m_hat * fa > m_hat * fb:
-        se_l, se_u = se_u, se_l
-    return VarianceComponents(se_l=se_l, se_u=se_u, se_m=se_m)
+def _endpoint_ses(m_hat: float, se: float, fa: float, fb: float) -> tuple[float, float]:
+    """(se_l, se_u): se*fa and se*fb in the order the interval sorts m_hat*fa, m_hat*fb."""
+    se_a, se_b = se * fa, se * fb
+    return (se_b, se_a) if m_hat * fa > m_hat * fb else (se_a, se_b)
 
 
 def bound_variances(
@@ -202,17 +182,17 @@ def bound_variances(
     pi_hat: float,
     regime: SignRegime,
     epsilon: float | None = None,
-) -> VarianceComponents:
-    """Endpoint standard errors from panel data: :func:`did_estimand` and
-    :func:`contrast_se`, scaled exactly as :func:`summary_mode_infer` scales
-    them.
+) -> tuple[float, float, float]:
+    """(se_l, se_u, se_m) from panel data: the endpoint standard errors and
+    the contrast SE (:func:`contrast_se`) they rescale, ordered as
+    :func:`confidence_set` orders them.
 
     pi_hat enters as a constant: its own sampling noise is ignored,
     matching the estimator the variance formulas are written for.
     """
-    return _endpoint_components(
-        did_estimand(panel, g), contrast_se(panel, g), pi_hat, regime, epsilon
-    )
+    m_hat, se_m = did_estimand(panel, g), contrast_se(panel, g)
+    fa, fb = endpoint_scale_factors(pi_hat, regime, epsilon)
+    return (*_endpoint_ses(m_hat, se_m, fa, fb), se_m)
 
 
 def critical_value_cn(delta_hat, se, alpha: float):
@@ -260,9 +240,9 @@ def _extend(lower, upper, c_n, se):
 
 def _sets(m, se, fa, fb, alpha):
     """(lower, upper, c_n, cs_lower, cs_upper) for arrays of contrasts ``m``,
-    SEs ``se`` and scale factors ``fa``, ``fb``: :func:`summary_mode_infer`'s
-    arithmetic on every element, C_n in one call.  An endpoint overflowing
-    to inf ends as the "interval width must be finite" error."""
+    SEs ``se`` and scale factors ``fa``, ``fb``, C_n in one call.  An
+    endpoint overflowing to inf ends as the "interval width must be finite"
+    error."""
     with np.errstate(over="ignore"):
         a, b = m * fa, m * fb
         lower, upper = np.minimum(a, b), np.maximum(a, b)
@@ -271,25 +251,14 @@ def _sets(m, se, fa, fb, alpha):
         return (lower, upper, c_n, *_extend(lower, upper, c_n, se_ext))
 
 
-def confidence_set(
-    mu_l_hat: float, mu_u_hat: float, vc: VarianceComponents, alpha: float
-) -> ConfidenceSet:
-    """Extend [mu_l_hat, mu_u_hat] by C_n * se on each side."""
-    _check_alpha(alpha)
-    if mu_l_hat > mu_u_hat:
-        raise ValueError(
-            f"endpoints must be ordered: lower {mu_l_hat} > upper {mu_u_hat}"
-        )
-    delta_hat = mu_u_hat - mu_l_hat
-    c_n = critical_value_cn(delta_hat, vc.se, alpha)
-    lower, upper = _extend(mu_l_hat, mu_u_hat, c_n, vc.se)
+def confidence_set(m_hat: float, se: float, fa: float, fb: float, alpha: float) -> ConfidenceSet:
+    """The confidence set for the interval sorted(m_hat*fa, m_hat*fb) from a
+    contrast ``m_hat`` with standard error ``se``: ``_sets`` on one element."""
+    lower, upper, c_n, cs_lower, cs_upper = map(float, _sets(m_hat, se, fa, fb, alpha))
+    se_l, se_u = _endpoint_ses(m_hat, se, fa, fb)
     return ConfidenceSet(
-        lower=lower,
-        upper=upper,
-        c_n=c_n,
-        alpha=alpha,
-        delta_hat=delta_hat,
-        components=vc,
+        lower=cs_lower, upper=cs_upper, c_n=c_n, alpha=alpha, delta_hat=upper - lower,
+        se_l=se_l, se_u=se_u, se_m=se,
     )
 
 
@@ -340,13 +309,12 @@ def summary_mode_infer(
     The supplied SE is that of the no-anticipation DID contrast; each
     endpoint's SE is that times its scale factor, and the larger one
     extends both sides.  Sample size plays no further role once the SE is
-    given.  The confidence set carries these standard errors as
-    ``components``.
+    given.  The confidence set carries these standard errors.
     """
     _check_contrast(m_hat, se)
     interval = _identified_set(m_hat, pi, epsilon, regime)
-    vc = _endpoint_components(m_hat, se, pi, regime, epsilon)
-    return interval, confidence_set(interval.lower, interval.upper, vc, alpha)
+    fa, fb = endpoint_scale_factors(pi, regime, epsilon)
+    return interval, confidence_set(m_hat, se, fa, fb, alpha)
 
 
 def _check_contrast(m_hat: float, se: float) -> None:

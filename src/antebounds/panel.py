@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, count, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -133,7 +133,8 @@ class TwoPeriodPanel:
     distinct labels; a ``range`` (as generated panels use) is taken as
     distinct without a check.  Loaded panels hold their ids and strata
     as packed text arrays (numpy ``StringDType``, a missing field as
-    None), whose items index as ``str``.
+    None), whose items index as ``str``.  The 0/1 treatment indicator is
+    kept as ``uint8``.
     """
 
     unit_ids: Sequence
@@ -141,16 +142,15 @@ class TwoPeriodPanel:
     y1: np.ndarray
     d: np.ndarray
     strata: Sequence | None = None
-    # set by the loader and by restrict_to_stratum, whose ids are already
-    # known to be distinct
+    # set by the loader, which has already checked the ids are distinct
     _ids_distinct: InitVar[bool] = False
 
     def __post_init__(self, _ids_distinct: bool) -> None:
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
         object.__setattr__(self, "y1", np.asarray(self.y1, dtype=float))
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=np.int64))
+        d = np.asarray(self.d)
         n = len(self.unit_ids)
-        if not (self.y0.shape == self.y1.shape == self.d.shape == (n,)):
+        if not (self.y0.shape == self.y1.shape == d.shape == (n,)):
             raise PanelFormatError("panel columns must have one entry per unit")
         if self.strata is not None and len(self.strata) != n:
             raise PanelFormatError("stratum column must have one entry per unit")
@@ -158,9 +158,11 @@ class TwoPeriodPanel:
             _check_distinct(self.unit_ids)
         if not (np.isfinite(self.y0).all() and np.isfinite(self.y1).all()):
             raise PanelFormatError("outcomes must be finite reals")
-        # two comparisons, not np.isin, which sorts
-        if not ((self.d == 0) | (self.d == 1)).all():
+        # d as given, before any cast could truncate it; two comparisons,
+        # not np.isin, which sorts
+        if not ((d == 0) | (d == 1)).all():
             raise PanelFormatError("treatment indicator must be 0 or 1", field="d")
+        object.__setattr__(self, "d", d.astype(np.uint8, copy=False))
         if self.n_treated < 1 or self.n_control < 1:
             raise PanelFormatError(
                 "panel needs at least one treated and one control unit"
@@ -204,20 +206,6 @@ class TwoPeriodPanel:
         if label not in index:
             raise KeyError(f"no units in stratum {label!r}")
         return codes == index[label]
-
-    def restrict_to_stratum(self, label) -> "TwoPeriodPanel":
-        mask = self.stratum_mask(label)
-        if self.strata is None:
-            return self
-        ids = self.unit_ids
-        return TwoPeriodPanel(
-            unit_ids=ids[mask] if isinstance(ids, np.ndarray) else tuple(compress(ids, mask)),
-            y0=self.y0[mask],
-            y1=self.y1[mask],
-            d=self.d[mask],
-            strata=None,
-            _ids_distinct=True,
-        )
 
 
 @dataclass(frozen=True)

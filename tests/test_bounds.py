@@ -23,6 +23,7 @@ from antebounds.bounds import (
 )
 from antebounds.panel import CohortPanel, GTransform, TwoPeriodPanel, treatment_ratio
 
+from panel_oracle import restrict_to_stratum
 from test_panel import make_panel
 
 OPP = SignRegime(sign_mu=1, sign_tau=-1)   # opposite signs: s = -1
@@ -288,7 +289,7 @@ class TestConditional:
         panel = make_panel(rng.normal(size=n), rng.normal(size=n), d, strata=strata)
         out = conditional_estimand(panel, GTransform.identity())
         for label in ("A", "B"):
-            sub = panel.restrict_to_stratum(label)
+            sub = restrict_to_stratum(panel, label)
             assert out[label] == pytest.approx(
                 did_estimand(sub, GTransform.identity()), abs=1e-12
             )
@@ -337,7 +338,7 @@ class TestConditional:
         for label in ("A", "B"):
             pi = treatment_ratio(panel, label)
             assert pi == pytest.approx(0.4)
-            sub = panel.restrict_to_stratum(label)
+            sub = restrict_to_stratum(panel, label)
             got = identified_set_benchmark(contrasts[label], pi, OPP)
             want = identified_set_benchmark(
                 did_estimand(sub, g), treatment_ratio(sub), OPP

@@ -177,6 +177,19 @@ class TestSolvePhi:
             assert root == pytest.approx(brute, abs=2e-4)
             assert root == pytest.approx(effect, abs=0.08)
 
+    def test_a_small_residual_at_zero_is_not_a_root(self):
+        # the treated post-period sits 1e-7 above the other three samples,
+        # so the residual at x = 0 is 1e-7: above the 1e-9 * scale
+        # tolerance (scale 9 here), though under a 1e-6 * scale one
+        base = np.arange(10.0)
+        data = CicData.from_samples(base, base + 1e-7, base, base)
+        m = cic_m(0.5, data)
+        assert 0.0 < m < 2e-7
+        assert solve_phi(0.5, "upper", 1, data) is None
+        assert solve_phi(0.5, "upper", -1, data) is None
+        assert solve_phi(0.5, "lower", 1, data) == m
+        assert solve_phi(0.5, "lower", -1, data) is None
+
     def test_absent_when_no_sign_change(self):
         data = CicData.from_samples(
             treated_t0=[0.4, 0.5, 0.6],

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sets_oracle
 from antebounds import cli
 from antebounds.bounds import (
     SignRegime,
@@ -290,6 +291,8 @@ class TestSensitivity:
         ])
         cs = json.loads(out2)["results"]["confidence_set"]
         assert row["cs_l"] == cs["lower"] and row["cs_u"] == cs["upper"]
+        want = sets_oracle.summary_sets(0.5, 0.1, 0.0, None, SignRegime(1, -1), 0.95)
+        assert (cs["lower"], cs["upper"]) == (want["lower"], want["upper"])
 
     def test_epsilon_zero_matches_plain(self, capsys):
         base = [

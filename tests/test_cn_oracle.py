@@ -4,7 +4,7 @@
 elementwise bisection; ``cn_oracle.critical_value_cn`` is the scalar
 solver it replaced.  Each element must come out with the reference's
 bits, and a sensitivity sweep (one C_n call for the whole grid) must give
-the rows that per-point ``summary_mode_infer`` calls give.
+the rows that the scalar reference ``sets_oracle`` gives point by point.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cn_oracle
+import sets_oracle
 from antebounds.bounds import SignRegime, sensitivity_sweep
-from antebounds.inference import critical_value_cn, summary_mode_infer
+from antebounds.inference import critical_value_cn
 
 ALPHAS = st.sampled_from([0.51, 0.8, 0.9, 0.95, 0.99, 0.999])
 # width/se ratios: exactly 0, ordinary, and above 40 (C_n pinned at the
@@ -87,9 +88,9 @@ class TestSweepRows:
             grid, key=lambda pe: (pe[0], -math.inf if pe[1] is None else pe[1])
         )
         for row in rows:
-            interval, cs = summary_mode_infer(m, se, row.pi, row.epsilon, regime, alpha)
+            sets = sets_oracle.summary_sets(m, se, row.pi, row.epsilon, regime, alpha)
             got = (row.set_lower, row.set_upper, row.cs_lower, row.cs_upper)
-            want = (interval.lower, interval.upper, cs.lower, cs.upper)
+            want = (sets["set_lower"], sets["set_upper"], sets["lower"], sets["upper"])
             assert _hex(got) == _hex(want)
             assert all(type(v) is float for v in got)
 

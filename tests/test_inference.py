@@ -1,5 +1,6 @@
 """Critical values, variance plug-ins, confidence sets, robust-null cutoff."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sets_oracle
 from antebounds.bounds import SignRegime, identified_set_benchmark, sensitivity_sweep
 from antebounds.inference import (
     NOT_ROBUST,
     ROBUSTLY_REJECTED,
-    ConfidenceSet,
     DegenerateVarianceError,
-    VarianceComponents,
     bound_variances,
     contrast_moments,
     contrast_se,
@@ -131,11 +131,11 @@ class TestBoundVariances:
         # p-hat 0.5 -> contrast-scale variance 2/0.5 + 2/0.5 = 8, so the
         # contrast SE is sqrt(8/4)
         panel = make_panel([0, 0, 0, 0], [1, 3, 0, 2], [1, 1, 0, 0])
-        vc = bound_variances(panel, GTransform.identity(), 0.5, OPP)
-        assert vc.se_m == pytest.approx(math.sqrt(2.0))
-        assert vc.se_u == pytest.approx(math.sqrt(2.0))
-        assert vc.se_l == pytest.approx(math.sqrt(2.0) / 1.5)
-        assert vc.se == vc.se_u
+        se_l, se_u, se_m = bound_variances(panel, GTransform.identity(), 0.5, OPP)
+        assert se_m == pytest.approx(math.sqrt(2.0))
+        assert se_u == pytest.approx(math.sqrt(2.0))
+        assert se_l == pytest.approx(math.sqrt(2.0) / 1.5)
+        assert max(se_l, se_u) == se_u
 
     def test_hand_value_nonzero_covariance(self):
         # treated (y0, y1) in {(0,1), (2,5)}: var(y1) = 8, var(y0) = 2,
@@ -144,23 +144,23 @@ class TestBoundVariances:
         panel = make_panel([0, 2, 0, 0], [1, 5, 0, 2], [1, 1, 0, 0])
         gs = group_stats(panel, GTransform.identity())
         assert gs.cov[1] == pytest.approx(4.0)
-        vc = bound_variances(panel, GTransform.identity(), 0.5, OPP)
-        assert vc.se_u == pytest.approx(math.sqrt(2.0))
+        _, se_u, _ = bound_variances(panel, GTransform.identity(), 0.5, OPP)
+        assert se_u == pytest.approx(math.sqrt(2.0))
 
     @pytest.mark.parametrize("epsilon", [None, 0.3])
     def test_contrast_se_from_the_same_pass(self, epsilon):
         panel = random_panel(np.random.default_rng(12), n=50)
         g = GTransform.identity()
-        vc = bound_variances(panel, g, 0.4, OPP, epsilon=epsilon)
-        assert vc.se_m == contrast_se(panel, g)
+        _, _, se_m = bound_variances(panel, g, 0.4, OPP, epsilon=epsilon)
+        assert se_m == contrast_se(panel, g)
 
     def test_scaled_regime_divisor(self):
         panel = make_panel([0, 0, 0, 0], [1, 3, 0, 2], [1, 1, 0, 0])
-        vc = bound_variances(panel, GTransform.identity(), 0.5, SAME)
+        se_l, se_u, _ = bound_variances(panel, GTransform.identity(), 0.5, SAME)
         # 1/(1-pi) scale: the scaled endpoint is the upper one and dominates
-        assert vc.se_u == pytest.approx(math.sqrt(2.0) / 0.5)
-        assert vc.se_l == pytest.approx(math.sqrt(2.0))
-        assert vc.se == vc.se_u
+        assert se_u == pytest.approx(math.sqrt(2.0) / 0.5)
+        assert se_l == pytest.approx(math.sqrt(2.0))
+        assert max(se_l, se_u) == se_u
 
     def test_constant_diffs_zero_variance(self):
         # diffs constant within both groups -> contrast variance 0
@@ -233,25 +233,29 @@ class TestContrastMoments:
 
 class TestConfidenceSet:
     def test_point_identified_limit(self):
-        vc = VarianceComponents(se_l=1.0, se_u=1.0, se_m=1.0)
-        cs = confidence_set(0.4, 0.4, vc, 0.95)
+        cs = confidence_set(0.4, 1.0, 1.0, 1.0, 0.95)
         assert cs.lower == pytest.approx(0.4 - CN_AT_ZERO, abs=1e-5)
         assert cs.upper == pytest.approx(0.4 + CN_AT_ZERO, abs=1e-5)
+        assert cs.delta_hat == 0.0
 
     def test_contains_interval(self):
-        vc = VarianceComponents(se_l=0.1, se_u=0.2, se_m=0.1)
-        cs = confidence_set(0.1, 0.9, vc, 0.95)
+        # the interval [0.9 / 9, 0.9] = [0.1, 0.9]
+        cs = confidence_set(0.9, 0.2, 1.0 / 9.0, 1.0, 0.95)
         assert cs.lower < 0.1 and cs.upper > 0.9
+        assert cs.delta_hat == 0.9 - 0.9 / 9.0
 
-    def test_ordering_enforced(self):
-        vc = VarianceComponents(se_l=0.5, se_u=0.5, se_m=0.5)
-        with pytest.raises(ValueError, match="ordered"):
-            confidence_set(1.0, 0.0, vc, 0.95)
+    def test_endpoint_ses_follow_the_interval_order(self):
+        # m_hat > 0: m_hat * fa is the lower end; m_hat < 0: the upper one
+        cs = confidence_set(0.9, 0.2, 0.5, 1.0, 0.95)
+        assert (cs.se_l, cs.se_u, cs.se_m, cs.se) == (0.1, 0.2, 0.2, 0.2)
+        cs = confidence_set(-0.9, 0.2, 0.5, 1.0, 0.95)
+        assert (cs.se_l, cs.se_u, cs.se_m, cs.se) == (0.2, 0.1, 0.2, 0.2)
+        assert all(type(v) is float for v in dataclasses.astuple(cs))
 
     def test_monotone_in_alpha(self):
-        vc = VarianceComponents(se_l=0.08, se_u=0.1, se_m=0.08)
-        inner = confidence_set(0.2, 0.5, vc, 0.90)
-        outer = confidence_set(0.2, 0.5, vc, 0.95)
+        # the interval [0.2, 0.5]
+        inner = confidence_set(0.5, 0.1, 0.4, 1.0, 0.90)
+        outer = confidence_set(0.5, 0.1, 0.4, 1.0, 0.95)
         assert outer.lower < inner.lower and inner.upper < outer.upper
 
 
@@ -369,13 +373,14 @@ class TestEndToEndPanelInference:
         g = GTransform.identity()
         m = group_stats(panel, g).diff_in_diff()
         interval = identified_set_benchmark(m, 0.4, OPP)
-        vc = bound_variances(panel, g, 0.4, OPP)
-        cs = confidence_set(interval.lower, interval.upper, vc, 0.95)
-        # summary mode with the matching SE reproduces the same set
-        interval2, cs2 = summary_mode_infer(m, contrast_se(panel, g), 0.4, None, OPP, 0.95)
+        want = sets_oracle.summary_sets(m, contrast_se(panel, g), 0.4, None, OPP, 0.95)
+        # summary mode with the panel's contrast SE gives the reference set,
+        # and the endpoint SEs that bound_variances reads off the panel
+        interval2, cs = summary_mode_infer(m, contrast_se(panel, g), 0.4, None, OPP, 0.95)
         assert interval2.lower == pytest.approx(interval.lower, abs=1e-12)
-        assert cs2.lower == pytest.approx(cs.lower, abs=1e-10)
-        assert cs2.upper == pytest.approx(cs.upper, abs=1e-10)
+        assert cs.lower == pytest.approx(want["lower"], abs=1e-10)
+        assert cs.upper == pytest.approx(want["upper"], abs=1e-10)
+        assert (cs.se_l, cs.se_u, cs.se_m) == bound_variances(panel, g, 0.4, OPP)
 
 
 # (m_hat, se, pi, epsilon, regime, alpha) over the whole valid domain
@@ -398,8 +403,7 @@ class TestCoreProperties:
         interval, cs = summary_mode_infer(m, se, pi, eps, regime, alpha)
         assert interval.lower <= interval.upper
         assert cs.lower <= interval.lower and interval.upper <= cs.upper
-        vc = cs.components
-        assert vc.se_m == se and vc.se == max(vc.se_l, vc.se_u) > 0.0
+        assert cs.se_m == se and cs.se == max(cs.se_l, cs.se_u) > 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -423,7 +427,6 @@ class TestCoreProperties:
         assert (mirror.lower, mirror.upper) == (-interval.upper, -interval.lower)
         assert (mcs.lower, mcs.upper) == (-cs.upper, -cs.lower)
         assert mcs.c_n == cs.c_n
-        vc, mvc = cs.components, mcs.components
-        assert mvc.se == vc.se and mvc.se_m == vc.se_m
+        assert mcs.se == cs.se and mcs.se_m == cs.se_m
         if m != 0.0:  # at m = 0 both endpoints are 0 and their labels a tie
-            assert (mvc.se_l, mvc.se_u) == (vc.se_u, vc.se_l)
+            assert (mcs.se_l, mcs.se_u) == (cs.se_u, cs.se_l)

@@ -1,10 +1,16 @@
-"""Importing the package leaves numpy's BLAS with no worker threads."""
+"""Package-wide checks: importing the package leaves numpy's BLAS with no
+worker threads, and every name it exports exists."""
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import antebounds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +43,19 @@ def test_blas_threads_default_to_one():
 def test_user_setting_is_kept():
     assert probe(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
+
+def test_every_name_in_a_modules_all_exists():
+    for info in pkgutil.iter_modules(antebounds.__path__):
+        module = importlib.import_module(f"antebounds.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], info.name
+
+
+def test_the_package_imports_only_exported_names():
+    tree = ast.parse(Path(antebounds.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"antebounds.{node.module}")
+        unlisted = [a.name for a in node.names if a.name not in module.__all__]
+        assert unlisted == [], node.module

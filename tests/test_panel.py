@@ -24,6 +24,8 @@ from antebounds.panel import (
     treatment_ratio,
 )
 
+from panel_oracle import restrict_to_stratum
+
 
 def make_panel(y0, y1, d, strata=None):
     ids = tuple(f"u{i}" for i in range(len(d)))
@@ -91,8 +93,8 @@ class TestLoaders:
             "wide",
         )
         assert panel.stratum_labels() == ("east", "west")
-        assert panel.restrict_to_stratum("west").n == 2
-        assert tuple(panel.restrict_to_stratum("west").unit_ids) == ("c", "e")
+        assert restrict_to_stratum(panel, "west").n == 2
+        assert tuple(restrict_to_stratum(panel, "west").unit_ids) == ("c", "e")
 
     def test_cohort_loader(self):
         text = (
@@ -228,7 +230,7 @@ class TestLoadedTextColumns:
         finally:
             tracemalloc.stop()
         assert panel.n == n
-        # 16 bytes of packed id and 24 of outcomes and treatment; one str
+        # 16 bytes of packed id, 16 of outcomes and 1 of treatment; one str
         # id a row took about 89
         assert kept <= 48 * n
 
@@ -292,6 +294,24 @@ class TestPanelInvariants:
         for bad in (2, -1):
             with pytest.raises(PanelFormatError, match=message):
                 make_panel([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1, 0, bad])
+
+    @pytest.mark.parametrize("bad", [0.5, 1.9, "1"])
+    def test_treatment_is_checked_as_given(self, bad):
+        # an integer cast before the check would read each as 0 or 1
+        message = r"^treatment indicator must be 0 or 1 \(field: d\)$"
+        with pytest.raises(PanelFormatError, match=message) as got:
+            make_panel([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1, 0, bad])
+        assert got.value.field == "d"
+
+    def test_treatment_is_kept_as_uint8(self):
+        panel = make_panel([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [True, False, 1.0])
+        assert panel.d.dtype == np.uint8 and panel.d.tolist() == [1, 0, 1]
+        for layout, text in (
+            ("wide", "unit_id,y0,y1,d\na,1,3,1\nb,0,1,0\n"),
+            ("long", "unit_id,t,y,d\na,0,1,1\na,1,3,1\nb,0,0,0\nb,1,1,0\n"),
+        ):
+            panel = load_two_period(text, layout)
+            assert panel.d.dtype == np.uint8 and panel.d.tolist() == [1, 0], layout
 
 
 class TestGroupStats:
@@ -368,7 +388,7 @@ class TestGroupStats:
         rng = np.random.default_rng(29)
         panel = random_panel(rng, with_strata=True)
         for label in ("A", "B"):
-            within = treatment_ratio(panel.restrict_to_stratum(label))
+            within = treatment_ratio(restrict_to_stratum(panel, label))
             assert treatment_ratio(panel, label) == within  # bit for bit
         with pytest.raises(KeyError):
             treatment_ratio(panel, "C")

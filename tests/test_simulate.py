@@ -6,14 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from antebounds.bounds import did_estimand, identified_set_benchmark, staggered_estimand
+import sets_oracle
+from antebounds.bounds import did_estimand, staggered_estimand
 from antebounds.cic import counterfactual_quantile
-from antebounds.inference import (
-    bound_variances,
-    confidence_set,
-    contrast_se,
-    summary_mode_infer,
-)
+from antebounds.inference import contrast_se
 from antebounds.panel import GTransform
 from antebounds.simulate import (
     REPLICATION_BLOCK,
@@ -298,18 +294,22 @@ class TestCoverageEngine:
         assert report.points[0].coverage_se > 0.0
 
 
+def _reference_row(cfg, m_hat, se, pi, alpha):
+    """(covered, interval width, confidence-set width) and C_n of one
+    replication's (m_hat, se), from the scalar reference route."""
+    sets = sets_oracle.summary_sets(m_hat, se, pi, None, cfg.regime(), alpha)
+    covered = float(sets["lower"] <= cfg.mu <= sets["upper"])
+    return [covered, sets["set_upper"] - sets["set_lower"], sets["upper"] - sets["lower"]], sets["c_n"]
+
+
 def _per_replication_oracle(cfg, pi, alpha, reps):
-    """The pipeline one replication at a time: panel, DID contrast,
-    interval, endpoint variances and confidence set."""
-    regime = cfg.regime()
+    """The pipeline one replication at a time: panel, DID contrast and its
+    SE, then the scalar reference's interval and confidence set."""
     rows = []
     for rep in range(reps):
         panel = generate_two_period(replace(cfg, seed=derive_seed(cfg.seed, rep)))
-        m_hat = did_estimand(panel, IDY)
-        interval = identified_set_benchmark(m_hat, pi, regime)
-        vc = bound_variances(panel, IDY, pi, regime)
-        cs = confidence_set(interval.lower, interval.upper, vc, alpha)
-        rows.append((float(cs.contains(cfg.mu)), interval.width, cs.upper - cs.lower))
+        m_hat, se = did_estimand(panel, IDY), contrast_se(panel, IDY)
+        rows.append(_reference_row(cfg, m_hat, se, pi, alpha)[0])
     return np.array(rows)
 
 
@@ -354,22 +354,21 @@ class TestBlockEngine:
 
     def test_mean_c_n_in_replication_order(self):
         cfg = DgpConfig(n=200, mu=0.2, tau=-0.2, lam=0.3, seed=67)
-        regime, reps = cfg.regime(), B + 5
+        reps = B + 5
         c_n = []
         for rep in range(reps):
             panel = generate_two_period(replace(cfg, seed=derive_seed(cfg.seed, rep)))
-            interval = identified_set_benchmark(did_estimand(panel, IDY), 0.4, regime)
-            vc = bound_variances(panel, IDY, 0.4, regime)
-            c_n.append(confidence_set(interval.lower, interval.upper, vc, 0.95).c_n)
+            m_hat, se = did_estimand(panel, IDY), contrast_se(panel, IDY)
+            c_n.append(_reference_row(cfg, m_hat, se, 0.4, 0.95)[1])
         point = coverage_study([cfg], 0.4, 0.95, reps).points[0]
         assert point.mean_c_n == pytest.approx(float(np.mean(c_n)), rel=1e-12)
         assert point.to_dict()["mean_c_n"] == point.mean_c_n
 
     @pytest.mark.parametrize("mu,tau", [(0.3, 0.2), (0.3, -0.2)])
     def test_rows_are_summary_mode_infer_on_the_block_contrasts(self, mu, tau):
-        # each row, and its C_n, is the scalar inference core applied to
-        # that replication's own (m_hat, se), bit for bit; that se is
-        # contrast_se of the replication's panel
+        # each row, and its C_n, is the scalar reference route (which
+        # summary_mode_infer matches) applied to that replication's own
+        # (m_hat, se), bit for bit; that se is contrast_se of its panel
         cfg = DgpConfig(n=150, mu=mu, tau=tau, lam=0.3, seed=68)
         pi, alpha, reps = 0.4, 0.95, B + 7
         contrasts = np.concatenate(
@@ -382,10 +381,9 @@ class TestBlockEngine:
         ((_, c_n),) = _point_tables([cfg], pi, alpha, reps, workers=1)
         assert engine.shape == (reps, 3)
         for (m_hat, se), row, c in zip(contrasts.tolist(), engine.tolist(), c_n.tolist()):
-            interval, cs = summary_mode_infer(m_hat, se, pi, None, cfg.regime(), alpha)
-            want = [float(cs.contains(cfg.mu)), interval.width, cs.upper - cs.lower]
+            want, want_c_n = _reference_row(cfg, m_hat, se, pi, alpha)
             assert [x.hex() for x in row] == [x.hex() for x in want]
-            assert c.hex() == cs.c_n.hex()
+            assert c.hex() == want_c_n.hex()
 
     def test_rows_keyed_by_replication_index(self):
         # a replication's row depends on its index only, not on the grid

@@ -67,7 +67,6 @@ from .panel import (
     PanelFormatError,
     TwoPeriodPanel,
     group_stats,
-    load_cohort,
     load_two_period,
     treatment_ratio,
 )
@@ -83,7 +82,6 @@ from .simulate import (
     generate_imperfect,
     generate_post_treatment,
     generate_staggered,
-    generate_toy_anticipation,
     generate_two_period,
     post_treatment_identity_check,
     staggered_identity_check,

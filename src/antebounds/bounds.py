@@ -67,11 +67,6 @@ class SignRegime:
     def flipped_mu(self) -> "SignRegime":
         return SignRegime(sign_mu=-self.sign_mu, sign_tau=self.sign_tau)
 
-    def negated(self) -> "SignRegime":
-        """Regime after negating the outcome scale: both effects flip sign
-        (and their product s is unchanged)."""
-        return SignRegime(sign_mu=-self.sign_mu, sign_tau=-self.sign_tau)
-
     def describe(self) -> str:
         names = {1: "pos", -1: "neg", 0: "zero"}
         return f"mu {names[self.sign_mu]}, tau {names[self.sign_tau]}"
@@ -101,10 +96,6 @@ class IdentifiedInterval:
             raise ValueError(
                 f"empty identified set: lower {self.lower} > upper {self.upper}"
             )
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= value <= self.upper + slack

@@ -95,6 +95,15 @@ class EmpiricalDistribution:
         return self.values[np.minimum(k, n) - 1]
 
 
+def _control_map(
+    y: float, control_t0: EmpiricalDistribution, control_t1: EmpiricalDistribution
+) -> float:
+    p = control_t0.cdf(y)
+    if p <= 0.0:
+        return -math.inf
+    return control_t1.quantile(min(p, 1.0))
+
+
 @dataclass(frozen=True)
 class CicData:
     """The four observed samples: (group, period) = (treated/control, 0/1)."""
@@ -136,10 +145,7 @@ class CicData:
         Returns -inf when y sits below the entire control pre-period
         sample (the generalized inverse at level zero).
         """
-        p = self.control_t0.cdf(y)
-        if p <= 0.0:
-            return -math.inf
-        return self.control_t1.quantile(min(p, 1.0))
+        return _control_map(y, self.control_t0, self.control_t1)
 
     @cached_property
     def control_map_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -165,11 +171,7 @@ def counterfactual_quantile(
     """q-th quantile of the counterfactual untreated outcome for the
     treated group: Q01(F00(Q10(q)))."""
     _check_q(q)
-    y = d_treated_t0.quantile(q)
-    p = d_control_t0.cdf(y)
-    if p <= 0.0:
-        return -math.inf
-    return d_control_t1.quantile(min(p, 1.0))
+    return _control_map(d_treated_t0.quantile(q), d_control_t0, d_control_t1)
 
 
 def _shifted_composition(q: float, shift: float, data: CicData) -> float:

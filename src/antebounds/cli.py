@@ -164,7 +164,8 @@ def resolve_workers(requested: int, cpu_count: int | None) -> int:
 def _load_panel(path: str, layout: str):
     """The panel at ``path`` and the manifest's digest of it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some spreadsheets write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             panel = load_two_period(fh, layout=layout)
     except OSError as exc:
         raise CliError(f"cannot read --input: {exc}") from None

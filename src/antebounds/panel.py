@@ -2,8 +2,7 @@
 
 Panels are immutable after construction and safe to share across threads.
 CSV loading accepts both wide (one row per unit) and long (one row per
-unit-period) two-period layouts, plus a long cohort layout for staggered
-designs with ``inf`` marking never-treated units.
+unit-period) two-period layouts.
 """
 
 from __future__ import annotations
@@ -26,13 +25,9 @@ __all__ = [
     "CohortPanel",
     "GroupStats",
     "load_two_period",
-    "load_cohort",
     "group_stats",
     "treatment_ratio",
 ]
-
-NEVER_TREATED = math.inf
-
 
 class PanelFormatError(ValueError):
     """Input data violates the panel contract; names the offending row/field."""
@@ -239,10 +234,6 @@ class CohortPanel:
             raise PanelFormatError("cohort panel needs at least one never-treated unit")
 
     @property
-    def n(self) -> int:
-        return len(self.unit_ids)
-
-    @property
     def n_periods(self) -> int:
         return int(self.outcomes.shape[1])
 
@@ -370,10 +361,11 @@ def _open_reader(source) -> tuple[csv.DictReader, Iterator[str]]:
     """A DictReader that has read the header, and the line iterator it
     reads from, positioned at the first line after the header.  For a
     text stream, and a str or bytes source, which is read as one, the
-    iterator is the stream itself."""
+    iterator is the stream itself.  Bytes are decoded as UTF-8, after a
+    byte-order mark if there is one."""
     if isinstance(source, bytes):
         try:
-            source = source.decode()
+            source = source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise PanelFormatError(f"input is not UTF-8: {exc}") from None
     if isinstance(source, str):
@@ -724,70 +716,3 @@ def _packed(values: list, where: np.ndarray, field: str) -> np.ndarray:
         for raw, k in zip(values, rows):
             _parse_text(raw, 2 + k, field)
         raise
-
-
-def load_cohort(source) -> CohortPanel:
-    """Load a cohort panel from long CSV with header ``unit_id,t,y,e``.
-
-    ``e`` is the positive integer first-treatment period or the literal
-    token ``inf`` for never-treated units.
-    """
-    reader, _ = _open_reader(source)
-    _require_columns(reader, ("unit_id", "t", "y", "e"))
-    records: dict = {}
-    order: list = []
-    row_num = 1
-    try:
-        for row_num, row in enumerate(reader, start=2):
-            uid = row["unit_id"]
-            try:
-                t = int(row["t"])
-            except (TypeError, ValueError):
-                raise PanelFormatError(
-                    f"non-integer period {row['t']!r}", row=row_num, field="t"
-                ) from None
-            y = _parse_float(row["y"], row_num, "y")
-            e_raw = row["e"]
-            if e_raw == "inf":
-                e = NEVER_TREATED
-            else:
-                try:
-                    e = float(int(e_raw))
-                except (TypeError, ValueError):
-                    raise PanelFormatError(
-                        f"cohort must be a positive integer or 'inf', got {e_raw!r}",
-                        row=row_num,
-                        field="e",
-                    ) from None
-            if uid not in records:
-                records[uid] = {"y": {}, "e": e}
-                order.append(uid)
-            rec = records[uid]
-            if t in rec["y"]:
-                raise PanelFormatError(
-                    f"duplicate (unit, period) for unit {uid!r} at t={t}", row=row_num
-                )
-            if rec["e"] != e:
-                raise PanelFormatError(
-                    f"cohort not constant within unit {uid!r}", row=row_num, field="e"
-                )
-            rec["y"][t] = y
-    except csv.Error as exc:
-        # the unreadable record is the one after row_num; blank rows are not numbered
-        raise PanelFormatError(f"unreadable CSV row: {exc}", row=row_num + 1) from None
-    if not order:
-        raise PanelFormatError("no data rows")
-    periods = sorted({t for rec in records.values() for t in rec["y"]})
-    expected = list(range(1, len(periods) + 1))
-    if periods != expected:
-        raise PanelFormatError(f"periods must be 1..T with no gaps, got {periods}")
-    outcomes = np.empty((len(order), len(periods)))
-    cohorts = np.empty(len(order))
-    for i, uid in enumerate(order):
-        rec = records[uid]
-        missing = [t for t in expected if t not in rec["y"]]
-        if missing:
-            raise PanelFormatError(f"missing period for unit {uid!r}: t={missing}")
-        outcomes[i] = [rec["y"][t] for t in expected]
-        cohorts[i] = rec["e"]
-    return CohortPanel(unit_ids=tuple(order), outcomes=outcomes, cohorts=cohorts)

@@ -47,11 +47,9 @@ __all__ = [
     "derive_seed",
     "generate_two_period",
     "generate_imperfect",
-    "generate_toy_anticipation",
     "generate_post_treatment",
     "generate_staggered",
     "generate_cic",
-    "coverage_replications",
     "coverage_study",
     "decomposition_check",
     "staggered_identity_check",
@@ -167,7 +165,7 @@ def _unit_noise(rng: np.random.Generator, cfg: DgpConfig, periods: int = 2) -> n
 
 
 def _panel_from_arrays(cfg: DgpConfig, y0, y1, d) -> TwoPeriodPanel:
-    return TwoPeriodPanel(unit_ids=range(cfg.n), y0=y0, y1=y1, d=d.astype(int))
+    return TwoPeriodPanel(unit_ids=range(cfg.n), y0=y0, y1=y1, d=d)
 
 
 def _outcomes(rng: np.random.Generator, cfg: DgpConfig, d, shift0, shift1=None):
@@ -225,7 +223,11 @@ def generate_imperfect(cfg: DgpConfig) -> TwoPeriodPanel:
 @np.errstate(over="ignore")
 def _draw_toy(rng: np.random.Generator, cfg: DgpConfig):
     """Toy-model draws: (y0, y1, d, a) with a the anticipators of both
-    groups (only treated ones react)."""
+    groups (only treated ones react), A = 1{U <= alpha * P[D=1]}.
+
+    U follows F(x) = x^k on [0, 1] with k >= 1, a nondecreasing density;
+    with alpha <= 1 this keeps the anticipation share below the treatment
+    share."""
     if cfg.toy_alpha is None:
         raise ValueError("toy model requires toy_alpha to be set")
     if not (0.0 < cfg.toy_alpha <= 1.0):
@@ -243,18 +245,6 @@ def _draw_toy(rng: np.random.Generator, cfg: DgpConfig):
     a = u <= cfg.toy_alpha * cfg.p_treat
     y0, y1 = _outcomes(rng, cfg, d, (a & d) * cfg.tau)
     return y0, y1, d, a
-
-
-def generate_toy_anticipation(cfg: DgpConfig) -> TwoPeriodPanel:
-    """Information-density anticipation: A = 1{U <= alpha * P[D=1]}.
-
-    U follows F(x) = x^k on [0, 1] with k >= 1, i.e. a nondecreasing
-    density; together with alpha <= 1 this keeps the anticipation share
-    below the treatment share, the bound the treatment-ratio pi policy
-    relies on.
-    """
-    y0, y1, d, _ = _draw_toy(_rng(cfg.seed), cfg)
-    return _panel_from_arrays(cfg, y0, y1, d)
 
 
 @np.errstate(over="ignore")
@@ -457,10 +447,14 @@ def _point_tables(
     reps: int,
     workers: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(table, C_n) per grid point: the (reps, 3) table of
-    :func:`coverage_replications` and the replications' critical values.
+    """(table, C_n) per grid point: a (reps, 3) table of each
+    replication's (covered, interval width, CS length), and the
+    replications' critical values.
 
-    The sets of a grid point come from one array call over its
+    Replications run in blocks of REPLICATION_BLOCK; with workers > 1 one
+    process pool serves every (grid point, block) job and results are
+    reassembled in job order, so the tables are identical for any worker
+    count.  The sets of a grid point come from one array call over its
     replications in order, with the arithmetic of :func:`summary_mode_infer`.
     """
     _check_alpha(alpha)
@@ -494,27 +488,6 @@ def _point_tables(
     return out
 
 
-def coverage_replications(
-    cfg_grid: Sequence[DgpConfig],
-    pi_for_estimator: float,
-    alpha: float,
-    reps: int,
-    workers: int = 1,
-) -> list[np.ndarray]:
-    """Per-replication (covered, interval width, CS length), one (reps, 3)
-    array per grid point.
-
-    Replications run in blocks of REPLICATION_BLOCK; with workers > 1 one
-    process pool serves every (grid point, block) job and results are
-    reassembled in job order, so the arrays are identical for any worker
-    count.  Pool workers are spawned, not forked, so a script calling this
-    with workers > 1 needs an ``if __name__ == "__main__":`` guard.
-    """
-    return [
-        table for table, _ in _point_tables(cfg_grid, pi_for_estimator, alpha, reps, workers)
-    ]
-
-
 def coverage_study(
     cfg_grid: Sequence[DgpConfig],
     pi_for_estimator: float,
@@ -526,9 +499,11 @@ def coverage_study(
 
     Each replication draws a fresh benchmark panel, runs the estimate ->
     interval -> variance -> confidence-set pipeline, and records whether
-    the true effect landed inside (see :func:`coverage_replications`).
+    the true effect landed inside (see :func:`_point_tables`).
     Configs violating the assumptions are rejected unless explicitly
     tagged as falsification runs, whose points are flagged in the report.
+    Pool workers are spawned, not forked, so a script calling this with
+    workers > 1 needs an ``if __name__ == "__main__":`` guard.
     """
     if not cfg_grid:
         raise ValueError("the DGP grid is empty")

@@ -88,7 +88,7 @@ class TestBoundedOutcome:
         d = np.array([1] * 15 + [0] * 15)
         panel = make_panel(y0, y1, d)
         iv = bounded_outcome_set(panel, IDY, OutcomeBounds(0.0, 1.0))
-        assert iv.width == pytest.approx(1.0)
+        assert iv.upper - iv.lower == pytest.approx(1.0)
 
     def test_width_is_always_b_minus_a(self):
         rng = np.random.default_rng(63)
@@ -97,7 +97,7 @@ class TestBoundedOutcome:
             lo = float(panel.y0.min()) - 0.5
             hi = float(panel.y0.max()) + rng.uniform(0.1, 2.0)
             iv = bounded_outcome_set(panel, IDY, OutcomeBounds(lo, hi))
-            assert iv.width == pytest.approx(hi - lo, abs=1e-12)
+            assert iv.upper - iv.lower == pytest.approx(hi - lo, abs=1e-12)
 
     def test_degenerate_point(self):
         panel = make_panel([2, 2, 2, 2], [3, 4, 1, 2], [1, 1, 0, 0])

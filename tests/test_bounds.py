@@ -141,7 +141,7 @@ class TestBenchmarkSet:
             pi = rng.uniform(0, 0.99)
             regime = SignRegime(sign_mu=rng.choice([-1, 1]), sign_tau=rng.choice([-1, 1]))
             a = identified_set_benchmark(m, pi, regime)
-            b = identified_set_benchmark(-m, pi, regime.negated())
+            b = identified_set_benchmark(-m, pi, SignRegime(-regime.sign_mu, -regime.sign_tau))
             assert b.lower == pytest.approx(-a.upper, abs=1e-12)
             assert b.upper == pytest.approx(-a.lower, abs=1e-12)
 

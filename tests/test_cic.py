@@ -319,7 +319,7 @@ class TestIdentifiedSetAssembly:
                 for st in (-1, 1):
                     regime = SignRegime(sm, st)
                     a = cic_identified_set(q, pi, regime, data)
-                    b = cic_identified_set(1 - q, pi, regime.negated(), neg)
+                    b = cic_identified_set(1 - q, pi, SignRegime(-sm, -st), neg)
                     assert b.raw_lower == pytest.approx(-a.raw_upper, abs=1e-9)
                     assert b.raw_upper == pytest.approx(-a.raw_lower, abs=1e-9)
 

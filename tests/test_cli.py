@@ -543,6 +543,15 @@ class TestPanelModeExtras:
         lowers = [r["set_l"] for r in rows]
         assert lowers[0] > lowers[1] > lowers[2]
 
+    def test_a_byte_order_mark_is_skipped(self, capsys, tmp_path, noisy_csv):
+        # spreadsheets' "CSV UTF-8" export starts the file with EF BB BF
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + open(noisy_csv, "rb").read())
+        argv = ["infer", "--pi", "const:0.4", "--format", "json", "--input"]
+        plain = run(capsys, [*argv, noisy_csv])
+        assert plain[0] == 0
+        assert run(capsys, [*argv, str(marked)]) == plain
+
 
 class ClosedStdout(io.TextIOBase):
     """A stdout whose reader goes away: the first ``good_writes`` writes

@@ -423,7 +423,8 @@ class TestCoreProperties:
     def test_negating_the_outcome_scale_mirrors_everything(self, args):
         m, se, pi, eps, regime, alpha = args
         interval, cs = summary_mode_infer(m, se, pi, eps, regime, alpha)
-        mirror, mcs = summary_mode_infer(-m, se, pi, eps, regime.negated(), alpha)
+        negated = SignRegime(-regime.sign_mu, -regime.sign_tau)
+        mirror, mcs = summary_mode_infer(-m, se, pi, eps, negated, alpha)
         assert (mirror.lower, mirror.upper) == (-interval.upper, -interval.lower)
         assert (mcs.lower, mcs.upper) == (-cs.upper, -cs.lower)
         assert mcs.c_n == cs.c_n

@@ -19,7 +19,6 @@ from antebounds.panel import (
     TwoPeriodPanel,
     _first_repeat,
     group_stats,
-    load_cohort,
     load_two_period,
     treatment_ratio,
 )
@@ -96,36 +95,22 @@ class TestLoaders:
         assert restrict_to_stratum(panel, "west").n == 2
         assert tuple(restrict_to_stratum(panel, "west").unit_ids) == ("c", "e")
 
-    def test_cohort_loader(self):
-        text = (
-            "unit_id,t,y,e\n"
-            "a,1,0.0,2\na,2,1.0,2\na,3,2.0,2\n"
-            "b,1,0.0,inf\nb,2,0.5,inf\nb,3,1.0,inf\n"
-        )
-        panel = load_cohort(text)
-        assert panel.n_periods == 3
-        assert panel.cohort_share_up_to(2) == 0.5
-        assert np.isinf(panel.cohorts).sum() == 1
-
-    @pytest.mark.parametrize("load, header", [
-        (load_two_period, "unit_id,y0,y1,d"),
-        (load_cohort, "unit_id,t,y,e"),
-    ], ids=["two_period", "cohort"])
-    def test_undecodable_bytes_are_a_format_error(self, load, header):
+    def test_undecodable_bytes_are_a_format_error(self):
         # the codec's message, with the byte offset, is kept
+        header = "unit_id,y0,y1,d"
         offset = len(header) + 1
         with pytest.raises(PanelFormatError, match=f"not UTF-8.*0xff in position {offset}:"):
-            load(header.encode() + b"\n\xff,1,2,1\n")
+            load_two_period(header.encode() + b"\n\xff,1,2,1\n")
 
-    def test_cohort_unreadable_row_names_it(self):
-        text = "unit_id,t,y,e\na,1,0.0,inf\n\na,2,1.0,inf\nb,1," + "9" * 200_000 + ",inf\n"
-        with pytest.raises(PanelFormatError, match=r"field larger than field limit.*\(row: 4\)"):
-            load_cohort(text)
+    def test_a_byte_order_mark_is_skipped(self):
+        text = "unit_id,y0,y1,d\na,1.0,3.0,1\nb,0.0,1.0,0\n"
+        panel = load_two_period(b"\xef\xbb\xbf" + text.encode())
+        assert tuple(panel.unit_ids) == ("a", "b")
+        assert panel.y1.tolist() == [3.0, 1.0]
 
     def test_cohort_requires_never_treated(self):
-        text = "unit_id,t,y,e\na,1,0.0,2\na,2,1.0,2\n"
         with pytest.raises(PanelFormatError, match="never-treated"):
-            load_cohort(text)
+            CohortPanel(("a",), np.array([[0.0, 1.0]]), np.array([2.0]))
 
 
 ODD_TEXT = [
@@ -399,11 +384,6 @@ class TestGroupStats:
 
 
 class TestCohortPanel:
-    def test_gap_in_periods_rejected(self):
-        text = "unit_id,t,y,e\na,1,0.0,2\na,3,1.0,2\nb,1,0.0,inf\nb,3,1.0,inf\n"
-        with pytest.raises(PanelFormatError, match="no gaps"):
-            load_cohort(text)
-
     def test_outcomes_at(self):
         panel = CohortPanel(
             ("a", "b"),

@@ -17,7 +17,6 @@ from antebounds.simulate import (
     DgpConfig,
     _coverage_block,
     _point_tables,
-    coverage_replications,
     coverage_study,
     decomposition_check,
     derive_seed,
@@ -25,7 +24,6 @@ from antebounds.simulate import (
     generate_imperfect,
     generate_post_treatment,
     generate_staggered,
-    generate_toy_anticipation,
     generate_two_period,
     post_treatment_identity_check,
     staggered_identity_check,
@@ -169,15 +167,15 @@ class TestToyGenerator:
 
     def test_decreasing_density_rejected(self):
         with pytest.raises(ValueError, match="decreasing density"):
-            generate_toy_anticipation(big_cfg(toy_alpha=1.0, toy_power=0.5))
+            toy_bound_check(big_cfg(toy_alpha=1.0, toy_power=0.5))
 
     def test_requires_alpha(self):
         with pytest.raises(ValueError, match="toy_alpha"):
-            generate_toy_anticipation(big_cfg())
+            toy_bound_check(big_cfg())
 
     def test_alpha_above_one_rejected(self):
         with pytest.raises(ValueError, match="toy_alpha"):
-            generate_toy_anticipation(big_cfg(toy_alpha=1.5))
+            toy_bound_check(big_cfg(toy_alpha=1.5))
 
 
 class TestStaggeredGenerator:
@@ -318,7 +316,7 @@ B = REPLICATION_BLOCK
 
 class TestBlockEngine:
     def _agree(self, cfg, pi, reps, alpha=0.95):
-        (engine,) = coverage_replications([cfg], pi, alpha, reps)
+        ((engine, _),) = _point_tables([cfg], pi, alpha, reps, workers=1)
         oracle = _per_replication_oracle(cfg, pi, alpha, reps)
         assert engine.shape == oracle.shape == (reps, 3)
         assert np.array_equal(engine[:, 0], oracle[:, 0])
@@ -350,7 +348,7 @@ class TestBlockEngine:
         with pytest.raises(ValueError):
             _per_replication_oracle(cfg, 0.4, 0.95, B)
         with pytest.raises(ValueError, match="insufficient group size"):
-            coverage_replications([cfg], 0.4, 0.95, B)
+            _point_tables([cfg], 0.4, 0.95, B, workers=1)
 
     def test_mean_c_n_in_replication_order(self):
         cfg = DgpConfig(n=200, mu=0.2, tau=-0.2, lam=0.3, seed=67)
@@ -377,8 +375,7 @@ class TestBlockEngine:
         for rep, se in enumerate(contrasts[:, 1].tolist()):
             panel = generate_two_period(replace(cfg, seed=derive_seed(cfg.seed, rep)))
             assert se.hex() == contrast_se(panel, IDY).hex()
-        (engine,) = coverage_replications([cfg], pi, alpha, reps)
-        ((_, c_n),) = _point_tables([cfg], pi, alpha, reps, workers=1)
+        ((engine, c_n),) = _point_tables([cfg], pi, alpha, reps, workers=1)
         assert engine.shape == (reps, 3)
         for (m_hat, se), row, c in zip(contrasts.tolist(), engine.tolist(), c_n.tolist()):
             want, want_c_n = _reference_row(cfg, m_hat, se, pi, alpha)
@@ -389,9 +386,9 @@ class TestBlockEngine:
         # a replication's row depends on its index only, not on the grid
         # around it or on where the last block ends
         grid = [DgpConfig(n=100, mu=0.2, tau=-0.2, lam=lam, seed=66) for lam in (0.0, 0.4)]
-        full = coverage_replications(grid, 0.4, 0.95, 2 * B + 3)
-        alone = coverage_replications(grid[1:], 0.4, 0.95, B + 1)
-        assert np.array_equal(alone[0], full[1][: B + 1])
+        full = _point_tables(grid, 0.4, 0.95, 2 * B + 3, workers=1)
+        ((alone, _),) = _point_tables(grid[1:], 0.4, 0.95, B + 1, workers=1)
+        assert np.array_equal(alone, full[1][0][: B + 1])
 
 
 class TestCicDgp:

@@ -137,14 +137,13 @@ def endpoint_scale_factors(
 ) -> tuple[float, float]:
     """Multipliers applied to the DID contrast at the two interval endpoints.
 
-    Benchmark: factors (1, 1/(1 - s*pi)).  Imperfect anticipation with
-    error rate epsilon: (1/(1 + s*pi*eps), 1/(1 - s*pi*(1-eps))), which
-    collapses to the benchmark pair at epsilon = 0.
+    Imperfect anticipation with error rate epsilon: (1/(1 + s*pi*eps),
+    1/(1 - s*pi*(1-eps))).  The benchmark (epsilon None) is epsilon = 0,
+    where the pair is (1, 1/(1 - s*pi)) to the bit.
     """
     _check_pi(pi)
     s = regime.s
-    if epsilon is None:
-        return (1.0, 1.0 / (1.0 - s * pi))
+    epsilon = 0.0 if epsilon is None else epsilon
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     den1 = 1.0 + s * pi * epsilon

@@ -245,8 +245,6 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
 
     if abs(residual(0.0)) <= tol:
         return 0.0
-    if big == 0.0:
-        return None
 
     values = data.control_t0.values
     n0 = values.size

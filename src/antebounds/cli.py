@@ -6,7 +6,8 @@ digest, tool version, master seed where applicable); JSON output is
 deterministic, so equal manifests and inputs produce byte-identical
 bytes.  Exit codes: 0 success, 1 a tagged acceptance threshold failed
 (simulate only), 2 usage or validation error, 3 internal numerical
-failure or any other internal error (one line, no traceback).
+failure or any other internal error (one line, no traceback), 130 an
+interrupt (Ctrl-C; one ``interrupted`` line, 128 + SIGINT).
 Human-readable numbers are rounded for display; JSON carries full
 precision.
 """
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130
 
 # Report pieces joined into one write.  With an unbuffered stdout every
 # write is a system call.  A sensitivity report's pieces are its rows, of
@@ -754,6 +756,9 @@ def main(argv=None) -> int:
         # a defect, not a verdict: exit 1 stays reserved for thresholds
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

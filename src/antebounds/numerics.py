@@ -4,8 +4,10 @@ The standard-normal CDF and quantile come from the standard library
 (``math.erfc`` and ``statistics.NormalDist``).  Root solving is plain
 bisection: every target this package solves for (critical values, quantile
 fixed points) is monotone but at best piecewise smooth, and bisection is
-robust and reproducible there.  The elementwise forms solve many roots in
-one pass over numpy arrays and give the bits of the scalar ones.
+robust and reproducible there.  There is one bisection loop,
+:func:`solve_monotone_elementwise`, which solves many roots in one pass
+over numpy arrays; :func:`solve_monotone` runs it on one element.  The
+scalar loop it replaced is the tests' reference (``tests/cn_oracle.py``).
 """
 
 from __future__ import annotations
@@ -91,8 +93,11 @@ def std_normal_quantile(p: float) -> float:
 def solve_monotone(f, bracket: Bracket) -> float:
     """Find a root of a weakly monotone function by bisection.
 
-    Converges in at most ceil(log2((hi - lo) / tol)) iterations to a point
-    within ``bracket.tol`` of the true root.
+    This is :func:`solve_monotone_elementwise` on one element: the scalar
+    ``f`` is called on each point as a float, ``f(lo)`` and ``f(hi)``
+    first and then once a step, and it converges in at most
+    ceil(log2((hi - lo) / tol)) steps to a point within ``bracket.tol`` of
+    the true root.
 
     Parameters
     ----------
@@ -107,47 +112,8 @@ def solve_monotone(f, bracket: Bracket) -> float:
         If f has the same (nonzero) sign at both endpoints; the caller
         decides the fallback.
     """
-    root, _, _ = _bisect(f, bracket.lo, bracket.hi, bracket.tol)
-    return root
-
-
-def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
-    """Bisection core; returns (root, final_lo, final_hi).
-
-    The final endpoints straddle the sign change (f(final_lo) and
-    f(final_hi) have opposite signs or one of them is an exact zero).
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo, lo, hi
-    if fhi == 0.0:
-        return hi, lo, hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise _no_root(lo, hi)
-    n_iter = _bisection_steps(lo, hi, tol)
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid, lo, hi
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi), lo, hi
-
-
-def _bisection_steps(lo: float, hi: float, tol: float) -> int:
-    return max(1, math.ceil(math.log2((hi - lo) / tol)))
-
-
-def _no_root(lo: float, hi: float) -> NoRootInBracketError:
-    return NoRootInBracketError(
-        f"no root in bracket [{lo}, {hi}]: f has the same sign at both endpoints"
-    )
+    root = solve_monotone_elementwise(lambda x, _: np.array([f(float(x[0]))]), bracket, np.zeros(1))
+    return float(root[0])
 
 
 def solve_monotone_elementwise(f, bracket: Bracket, params: np.ndarray) -> np.ndarray:
@@ -156,11 +122,14 @@ def solve_monotone_elementwise(f, bracket: Bracket, params: np.ndarray) -> np.nd
 
     ``f`` maps a float array of points and the equally long array of their
     parameters to the function values.  Each element takes exactly the
-    steps :func:`solve_monotone` takes on ``lambda x: f(x, p)``: the same
-    midpoints, the same exact-zero and ``hi - lo <= tol`` exits (tracked
-    per element) and the same step count, so when ``f`` computes each
-    element with the scalar arithmetic the roots have the scalar solver's
-    bits.
+    steps of a scalar bisection of ``lambda x: f(x, p)``: it evaluates
+    ``f(lo)`` and ``f(hi)``, stops at an exact zero of either, and then
+    halves the bracket at most ceil(log2((hi - lo) / tol)) times, one
+    evaluation a step, until a midpoint is an exact zero or
+    ``hi - lo <= tol`` (tracked per element); the root is then that
+    midpoint, or the midpoint of the final bracket.  So when ``f``
+    computes each element with the scalar arithmetic, every root has the
+    scalar loop's bits.
 
     Raises
     ------
@@ -178,13 +147,15 @@ def solve_monotone_elementwise(f, bracket: Bracket, params: np.ndarray) -> np.nd
     root[at_hi] = hi
     open_ = ~(at_lo | at_hi)
     if ((flo > 0.0) == (fhi > 0.0))[open_].any():
-        raise _no_root(lo, hi)
+        raise NoRootInBracketError(
+            f"no root in bracket [{lo}, {hi}]: f has the same sign at both endpoints"
+        )
     # the elements still bisecting: their indices, parameters and brackets
     active = np.flatnonzero(open_)
     params, flo = params[open_], flo[open_]
     lo_a = np.full(active.size, lo)
     hi_a = np.full(active.size, hi)
-    for _ in range(_bisection_steps(lo, hi, tol)):
+    for _ in range(max(1, math.ceil(math.log2((hi - lo) / tol)))):
         if active.size == 0:
             break
         mid = 0.5 * (lo_a + hi_a)

@@ -329,19 +329,11 @@ def _parse_float(raw: str, row_num: int, field: str) -> float:
     return value
 
 
-def _parse_d(raw: str, row_num: int) -> int:
+def _parse_binary(raw: str, row_num: int, field: str, what: str) -> int:
+    """A 0/1 field such as the treatment ``d`` or the period ``t``; ``what``
+    names it in the message."""
     if raw not in ("0", "1"):
-        raise PanelFormatError(
-            f"treatment must be 0 or 1, got {raw!r}", row=row_num, field="d"
-        )
-    return int(raw)
-
-
-def _parse_t(raw: str, row_num: int) -> int:
-    if raw not in ("0", "1"):
-        raise PanelFormatError(
-            f"period must be 0 or 1, got {raw!r}", row=row_num, field="t"
-        )
+        raise PanelFormatError(f"{what} must be 0 or 1, got {raw!r}", row=row_num, field=field)
     return int(raw)
 
 
@@ -564,7 +556,7 @@ def _load_wide(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
         partial(_parse_text, field="unit_id"),
         partial(_parse_float, field="y0"),
         partial(_parse_float, field="y1"),
-        _parse_d,
+        partial(_parse_binary, field="d", what="treatment"),
         partial(_parse_text, field="stratum"),
     )
     ids, hashes, y0s, y1s, ds, strata = [], [], [], [], [], []
@@ -614,7 +606,11 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "t", "y", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
     names = ("unit_id", "t", "y", "d") + (("stratum",) if has_stratum else ())
-    parsers = (_parse_t, partial(_parse_float, field="y"), _parse_d)
+    parsers = (
+        partial(_parse_binary, field="t", what="period"),
+        partial(_parse_float, field="y"),
+        partial(_parse_binary, field="d", what="treatment"),
+    )
     units: dict = {}
     labels: dict = {}
     codes, ts, ys, ds, ss = [], [], [], [], []

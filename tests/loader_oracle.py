@@ -19,7 +19,7 @@ from antebounds.panel import (
     PanelFormatError,
     TwoPeriodPanel,
     _open_reader,
-    _parse_d,
+    _parse_binary,
     _parse_float,
     _require_columns,
 )
@@ -40,7 +40,7 @@ def _load_wide(reader: csv.DictReader) -> TwoPeriodPanel:
         ids.append(row["unit_id"])
         y0s.append(_parse_float(row["y0"], row_num, "y0"))
         y1s.append(_parse_float(row["y1"], row_num, "y1"))
-        ds.append(_parse_d(row["d"], row_num))
+        ds.append(_parse_binary(row["d"], row_num, "d", "treatment"))
         if has_stratum:
             strata.append(row["stratum"])
     if not ids:
@@ -75,7 +75,7 @@ def _load_long(reader: csv.DictReader) -> TwoPeriodPanel:
             )
         t = int(t_raw)
         y = _parse_float(row["y"], row_num, "y")
-        d = _parse_d(row["d"], row_num)
+        d = _parse_binary(row["d"], row_num, "d", "treatment")
         stratum = row["stratum"] if has_stratum else None
         if uid not in records:
             records[uid] = {"y": {}, "d": d, "stratum": stratum}

@@ -157,6 +157,16 @@ class TestSolvePhi:
         d = CicData.from_samples(x, x, x, x)
         assert solve_phi(0.5, "upper", 1, d) == 0.0
 
+    @pytest.mark.parametrize("v", [0.0, 3.5, -1e6])
+    def test_constant_samples_give_zero(self, v):
+        # a zero data range means all four samples hold one value v, so the
+        # residual at x = 0 is v - Q01(F00(v)) = 0 on every side and sign
+        data = CicData.from_samples([v] * 4, [v] * 3, [v] * 5, [v] * 2)
+        assert data.data_range == 0.0
+        for side in ("upper", "lower"):
+            for sign_mu in (1, -1):
+                assert solve_phi(0.5, side, sign_mu, data) == 0.0
+
     def test_recovers_shift_against_brute_force(self):
         # all treated anticipate by exactly the effect size; control period
         # map has slope 1/2, so the fixed point sits at the true effect

@@ -616,6 +616,14 @@ class TestExitContract:
         assert err.startswith("internal error: RuntimeError(") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_interrupt_exits_130_on_one_line(self, capsys, monkeypatch, hand_csv):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "estimate", interrupted)
+        code, out, err = run(capsys, ["estimate", "--input", hand_csv])
+        assert (code, out, err) == (130, "", "interrupted\n")
+
     @pytest.mark.parametrize("command", ["infer", "sensitivity"])
     @pytest.mark.parametrize("bad", ["se=inf", "m=inf", "m=-inf", "se=nan", "m=nan"])
     def test_non_finite_summary_is_usage_error(self, capsys, command, bad):

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cn_oracle
+from antebounds.inference import tstar
 from antebounds.numerics import (
     Bracket,
     NoRootInBracketError,
-    _bisect,
     solve_monotone,
     solve_monotone_elementwise,
     std_normal_cdf,
@@ -125,9 +128,10 @@ class TestSolveMonotone:
 
     def test_final_bracket_straddles_zero(self):
         f = lambda x: x**3 - 0.37
-        root, lo, hi = _bisect(f, -1.0, 2.0, 1e-12)
+        root, lo, hi = cn_oracle.bisect(f, -1.0, 2.0, 1e-12)
         assert lo <= root <= hi
         assert f(lo) <= 0.0 <= f(hi)
+        assert solve_monotone(f, Bracket(-1.0, 2.0, tol=1e-12)) == root
 
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
@@ -141,13 +145,19 @@ class TestSolveMonotone:
 
 
 class TestElementwise:
-    """One bisection over arrays against one scalar bisection per element."""
+    """One bisection over arrays against the reference scalar bisection,
+    once per element."""
 
     def _agree(self, f, bracket, params):
         params = np.asarray(params, dtype=float)
         roots = solve_monotone_elementwise(f, bracket, params)
-        scalar = [solve_monotone(lambda x, p=p: float(f(np.array([x]), np.array([p]))[0]), bracket)
-                  for p in params.tolist()]
+        scalar = [
+            cn_oracle.bisect(
+                lambda x, p=p: float(f(np.array([x]), np.array([p]))[0]),
+                bracket.lo, bracket.hi, bracket.tol,
+            )[0]
+            for p in params.tolist()
+        ]
         assert [r.hex() for r in roots.tolist()] == [r.hex() for r in scalar]
         return roots
 
@@ -181,3 +191,80 @@ class TestElementwise:
             solve_monotone_elementwise(
                 lambda x, p: x - p, Bracket(0.0, 1.0), np.array([0.5, 2.0, 0.1])
             )
+
+
+def _counted(f):
+    """``f`` with a list that records each point it is called on."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+# Weakly monotone scalar families with a root at r: smooth, flat-tangent
+# and step functions, increasing (s = 1) or decreasing (s = -1).
+FAMILIES = {
+    "linear": lambda r, s: lambda x: s * (x - r),
+    "cubic": lambda r, s: lambda x: s * (x - r) ** 3,
+    "step": lambda r, s: lambda x: s * float(math.floor(4.0 * (x - r))),
+}
+
+
+@st.composite
+def problems(draw):
+    # far from zero a tolerance below the spacing of floats cannot be met,
+    # so the bisection runs to its step limit
+    lo = draw(st.one_of(st.floats(-50.0, 50.0), st.floats(-1e6, 1e6)))
+    hi = lo + draw(st.floats(1e-3, 100.0))
+    tol = draw(st.floats(1e-14, 1.0))
+    where = draw(st.sampled_from(["lo", "hi", "mid", "quarter", "inside", "outside"]))
+    r = {
+        "lo": lo,
+        "hi": hi,
+        "mid": 0.5 * (lo + hi),
+        "quarter": 0.5 * (lo + 0.5 * (lo + hi)),
+        "inside": draw(st.floats(lo, hi)),
+        "outside": draw(st.one_of(st.floats(hi + 1e-3, hi + 50.0), st.floats(lo - 50.0, lo - 1e-3))),
+    }[where]
+    f = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](r, draw(st.sampled_from([1.0, -1.0])))
+    return f, lo, hi, tol
+
+
+def _outcome(solve):
+    try:
+        return solve().hex()
+    except NoRootInBracketError as exc:
+        return str(exc)
+
+
+class TestAgainstOracle:
+    """``solve_monotone`` (the elementwise kernel on one element) against
+    the reference scalar bisection: bits, ``f`` calls and the no-root error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problems())
+    @example((FAMILIES["linear"](0.0, 1.0), 0.0, 1.0, 1e-10))  # exact zero at lo
+    @example((FAMILIES["linear"](1.0, -1.0), 0.0, 1.0, 1e-10))  # exact zero at hi
+    @example((FAMILIES["linear"](0.25, 1.0), 0.0, 1.0, 1e-10))  # exact zero at a midpoint
+    @example((FAMILIES["linear"](2.0, 1.0), 0.0, 1.0, 1e-10))  # no root
+    # a tolerance below the float spacing near 1e6, and no float root: the step limit
+    @example((lambda x: (x - 1e6) - 1.0 / 3.0, 1e6, 1e6 + 1.0, 1e-12))
+    def test_solve_monotone_is_the_oracle(self, problem):
+        f, lo, hi, tol = problem
+        f_kernel, kernel_calls = _counted(f)
+        f_oracle, oracle_calls = _counted(f)
+        kernel = _outcome(lambda: solve_monotone(f_kernel, Bracket(lo, hi, tol=tol)))
+        oracle = _outcome(lambda: float(cn_oracle.bisect(f_oracle, lo, hi, tol)[0]))
+        assert kernel == oracle
+        assert [x.hex() for x in kernel_calls] == [float(x).hex() for x in oracle_calls]
+        assert all(type(x) is float for x in kernel_calls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.5, 0.9999, exclude_min=True))
+    @example(0.95)
+    @example(0.9999)
+    def test_tstar_is_the_oracle(self, alpha):
+        assert tstar(alpha).hex() == cn_oracle.tstar(alpha).hex()

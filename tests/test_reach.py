@@ -34,15 +34,13 @@ _ORACLE = (
 )
 ALLOWED = {
     "panel._parse_float": _BAD_ROW,
-    "panel._parse_d": _BAD_ROW,
-    "panel._parse_t": _BAD_ROW,
+    "panel._parse_binary": _BAD_ROW,
     "panel._parse_text": _BAD_ROW,
     "panel._first_bad_row": _BAD_ROW,
     "panel._transpose": (
         "reads a chunk that csv must parse (a quote, CR or NUL in it); no golden file has one"
     ),
     "panel.PanelFormatError.__init__": "raised only on malformed input",
-    "numerics._no_root": "builds the error for a bracket with no sign change; no golden has one",
     "bounds.IdentifiedInterval.as_tuple": "public API, used in the README's example",
     "inference.ConfidenceSet.as_tuple": "public API, used in the README's example",
     "panel.group_stats": _ORACLE,

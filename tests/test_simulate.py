@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sets_oracle
+from antebounds import simulate
 from antebounds.bounds import did_estimand, staggered_estimand
 from antebounds.cic import counterfactual_quantile
 from antebounds.inference import contrast_se
@@ -282,6 +283,21 @@ class TestCoverageEngine:
         d = report.to_dict()
         assert set(d) == {"pi", "alpha", "reps", "master_seeds", "points", "min_coverage"}
         assert d["points"][0]["reps"] == 10
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_a_set_end_at_the_truth_covers(self, monkeypatch, end):
+        # the confidence set is closed: mu sitting exactly on either end counts
+        cfg = DgpConfig(n=120, mu=0.5, tau=-0.4, lam=0.2, seed=55)
+
+        def sets_touching_mu(m_hat, se, fa, fb, alpha):
+            at_mu = np.full(m_hat.shape, cfg.mu)
+            if end == "lower":
+                return m_hat, m_hat, se, at_mu, at_mu + 1.0
+            return m_hat, m_hat, se, at_mu - 1.0, at_mu
+
+        monkeypatch.setattr(simulate, "_sets", sets_touching_mu)
+        report = coverage_study([cfg], 0.3, 0.95, reps=10)
+        assert report.points[0].coverage == 1.0
 
     def test_coverage_se_is_binomial(self):
         grid = [DgpConfig(n=150, mu=0.5, tau=-0.4, lam=lam, seed=56) for lam in (0.0, 0.3)]

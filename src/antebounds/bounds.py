@@ -97,18 +97,16 @@ class IdentifiedInterval:
                 f"empty identified set: lower {self.lower} > upper {self.upper}"
             )
 
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
+    def contains(self, value: float) -> bool:
+        return self.lower <= value <= self.upper
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.lower, self.upper)
 
 
-def _check_pi(pi: float, where: str = "pi") -> None:
+def _check_pi(pi: float) -> None:
     if not (0.0 <= pi < 1.0):
-        raise ValueError(
-            f"unbounded identified set requires pi < 1 (and pi >= 0); {where} = {pi}"
-        )
+        raise ValueError(f"unbounded identified set requires pi < 1 (and pi >= 0); pi = {pi}")
 
 
 def did_estimand(panel: TwoPeriodPanel, g: GTransform) -> float:

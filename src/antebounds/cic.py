@@ -310,10 +310,12 @@ def cic_identified_set(
 ) -> CicBoundsResult:
     """Assemble the interval for the declared sign regime.
 
-    Same-signs put m(q) at the bottom and cap above by the tighter of the
-    two routes; opposite signs mirror.  Absent magnitude roots enter the
-    min/max as the matching infinite sentinel.  A known-zero anticipatory
-    effect degenerates to the point m(q).
+    A positive anticipatory effect puts m(q) at the bottom and caps above
+    by the tighter of the two routes; a negative one mirrors.  The
+    magnitude route's root is the upper one when the signs agree and the
+    lower one when they differ; an absent root enters the min/max as the
+    matching infinite sentinel.  A known-zero anticipatory effect
+    degenerates to the point m(q).
     """
     m_q = cic_m(q, data)
     phi_u = solve_phi(q, "upper", regime.sign_mu, data)
@@ -321,17 +323,12 @@ def cic_identified_set(
     pt_u = shifted_quantile_bound(q, pi, "upper", data)
     pt_l = shifted_quantile_bound(q, pi, "lower", data)
 
-    key = (regime.sign_tau, regime.sign_mu)
-    if regime.sign_tau == 0:
-        lo, hi = m_q, m_q
-    elif key == (1, 1):
-        lo, hi = m_q, min(_or_inf(phi_u), pt_u)
-    elif key == (-1, 1):
-        lo, hi = max(_or_neg_inf(phi_l), pt_l), m_q
-    elif key == (1, -1):
-        lo, hi = m_q, min(_or_inf(phi_l), pt_u)
-    else:  # (-1, -1)
-        lo, hi = max(_or_neg_inf(phi_u), pt_l), m_q
+    root = phi_u if regime.s == 1 else phi_l
+    lo = hi = m_q
+    if regime.sign_tau == 1:
+        hi = min(math.inf if root is None else root, pt_u)
+    elif regime.sign_tau == -1:
+        lo = max(-math.inf if root is None else root, pt_l)
 
     interval = None
     if lo <= hi:
@@ -349,14 +346,6 @@ def cic_identified_set(
         raw_lower=lo,
         raw_upper=hi,
     )
-
-
-def _or_inf(x: float | None) -> float:
-    return math.inf if x is None else x
-
-
-def _or_neg_inf(x: float | None) -> float:
-    return -math.inf if x is None else x
 
 
 def _check_q(q: float) -> None:

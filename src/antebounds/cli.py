@@ -602,7 +602,7 @@ def _add_simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=20260808)
     p.add_argument("--mu", type=float, default=0.2)
     p.add_argument("--tau", type=float, default=-0.2)
-    p.add_argument("--lam", type=float, default=None, help="anticipation probability")
+    p.add_argument("--lam", type=float, default=0.3, help="anticipation probability")
     p.add_argument("--lambda-grid", default="0,0.2,0.4",
                    help="benchmark scenario: anticipation probabilities")
     p.add_argument("--pi", type=float, default=0.4)
@@ -654,8 +654,7 @@ def cmd_simulate(args) -> tuple[int, Iterable[str]]:
         config = {"scenario": scenario, "grid": [c.to_dict() for c in grid],
                   "pi": args.pi, "alpha": args.alpha, "reps": args.reps}
     elif scenario == "imperfect":
-        cfg = DgpConfig(lam=args.lam if args.lam is not None else 0.3,
-                        epsilon=args.epsilon, **base)
+        cfg = DgpConfig(lam=args.lam, epsilon=args.epsilon, **base)
         report = decomposition_check(cfg, variant="imperfect")
         config = {"scenario": scenario, "config": cfg.to_dict()}
     elif scenario == "toy":
@@ -663,7 +662,7 @@ def cmd_simulate(args) -> tuple[int, Iterable[str]]:
         report = toy_bound_check(cfg)
         config = {"scenario": scenario, "config": cfg.to_dict()}
     elif scenario == "staggered":
-        cfg = DgpConfig(lam=args.lam if args.lam is not None else 0.3, **base)
+        cfg = DgpConfig(lam=args.lam, **base)
         shares = _parse_float_list(args.cohort_shares, "--cohort-shares")
         report = staggered_identity_check(
             cfg, T=args.periods, cohort_shares=shares, e=args.e, s=args.s, t=args.tpost
@@ -672,8 +671,7 @@ def cmd_simulate(args) -> tuple[int, Iterable[str]]:
                   "cohort_shares": shares, "periods": args.periods,
                   "e": args.e, "s": args.s, "t": args.tpost}
     else:  # identity
-        cfg = DgpConfig(lam=args.lam if args.lam is not None else 0.3,
-                        tau1=args.tau1, tau2=args.tau2, **base)
+        cfg = DgpConfig(lam=args.lam, tau1=args.tau1, tau2=args.tau2, **base)
         report = post_treatment_identity_check(cfg, reps=args.reps)
         config = {"scenario": scenario, "config": cfg.to_dict(), "reps": args.reps}
     results = report.to_dict()

@@ -389,9 +389,10 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
 
     The file is read CHUNK_ROWS rows at a time and parsed column by column;
     the first fault in row order is reported, with its row number counting
-    the header as row 1 and skipping blank lines.  A wide load's peak memory
-    is the parsed columns plus one chunk of lines, or plus one column while
-    it is joined.
+    the header as row 1 and skipping blank lines, but for a repeated wide
+    unit_id: ids are compared after every row is read, so any other fault
+    is reported first.  A wide load's peak memory is the parsed columns
+    plus one chunk of lines, or plus one column while it is joined.
     """
     if layout not in ("wide", "long"):
         raise ValueError(f"layout must be 'wide' or 'long', got {layout!r}")
@@ -519,8 +520,23 @@ def _transpose(rows: list, index: Sequence[int]) -> list:
     return [[r[j] if j < len(r) else None for r in rows] for j in index]
 
 
-def _floats(column: list) -> np.ndarray:
-    return np.fromiter(map(float, column), dtype=float, count=len(column))
+def _float_column(column: list) -> np.ndarray:
+    values = np.fromiter(map(float, column), dtype=float, count=len(column))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
+def _flag_column(column: list) -> np.ndarray:
+    if not _BINARY.issuperset(column):
+        raise ValueError("not a 0/1 flag")
+    return np.frombuffer("".join(column).encode(), dtype=np.uint8) - ord("0")
+
+
+def _text_column(column: list) -> list:
+    """The column as given, once no field in it holds a lone surrogate."""
+    "".join(filter(None, column)).encode()
+    return column
 
 
 def _text(column: list) -> np.ndarray:
@@ -529,55 +545,61 @@ def _text(column: list) -> np.ndarray:
     return np.array(column, dtype=_TEXT)
 
 
-def _binary(column: list) -> np.ndarray:
-    """0/1 values of a column already checked to hold only "0" and "1"."""
-    return np.frombuffer("".join(column).encode(), dtype=np.uint8) - ord("0")
+# Each column kind: a check of a whole chunk's column, which returns it
+# typed or raises ValueError or TypeError, and the parser of one field,
+# which names the fault; a check passes exactly when each field parses.
+_KINDS = {
+    "float": (_float_column, _parse_float),
+    "treatment": (_flag_column, partial(_parse_binary, what="treatment")),
+    "period": (_flag_column, partial(_parse_binary, what="period")),
+    "text": (_text_column, _parse_text),
+}
 
 
-def _first_bad_row(
-    row_num: int, columns: Sequence[list], parsers
-) -> tuple[int, PanelFormatError]:
-    """Offset in the chunk and error of the first row that one of the
-    row parsers rejects, trying each row's fields in column order."""
-    for k, values in enumerate(zip(*columns)):
+def _parsed_chunks(reader: csv.DictReader, lines: Iterator[str], spec: Sequence[tuple]):
+    """Yield, CHUNK_ROWS rows at a time, the columns that ``spec``, a
+    sequence of ``(column name, kind)`` pairs, names, each typed by its
+    kind's check.
+
+    A chunk that holds a faulty row is yielded up to that row, and then
+    the row's fault is raised, its fields tried in ``spec`` order: every
+    fault comes after the rows before it, as in ``_column_chunks``.
+    """
+    names, kinds = zip(*spec)
+    checks, parsers = zip(*map(_KINDS.__getitem__, kinds))
+    for row_num, columns in _column_chunks(reader, lines, names):
         try:
-            for parse, raw in zip(parsers, values):
-                parse(raw, row_num + k)
-        except PanelFormatError as err:
-            return k, err
-    raise RuntimeError("a column check failed on a chunk whose rows all parse")
+            typed = [check(column) for check, column in zip(checks, columns)]
+        except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
+            pass
+        else:
+            yield typed
+            continue
+        for k, values in enumerate(zip(*columns)):
+            try:
+                for parse, raw, name in zip(parsers, values, names):
+                    parse(raw, row_num + k, name)
+            except PanelFormatError as err:
+                if k:
+                    yield [check(column[:k]) for check, column in zip(checks, columns)]
+                raise err
+        raise RuntimeError("a column check failed on a chunk whose rows all parse")
 
 
 def _load_wide(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "y0", "y1", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
-    names = ("unit_id", "y0", "y1", "d") + (("stratum",) if has_stratum else ())
-    parsers = (
-        partial(_parse_text, field="unit_id"),
-        partial(_parse_float, field="y0"),
-        partial(_parse_float, field="y1"),
-        partial(_parse_binary, field="d", what="treatment"),
-        partial(_parse_text, field="stratum"),
-    )
+    spec = [("unit_id", "text"), ("y0", "float"), ("y1", "float"), ("d", "treatment")]
+    spec += [("stratum", "text")] if has_stratum else []
     ids, hashes, y0s, y1s, ds, strata = [], [], [], [], [], []
-    for row_num, columns in _column_chunks(reader, lines, names):
-        uid, y0, y1, d, *stratum = columns
-        try:
-            a0, a1 = _floats(y0), _floats(y1)
-            ok = np.isfinite(a0).all() and np.isfinite(a1).all() and _BINARY.issuperset(d)
-            if ok:
-                texts = [_text(column) for column in (uid, *stratum)]
-        except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
-            ok = False
-        if not ok:
-            raise _first_bad_row(row_num, columns, parsers)[1]
+    for uid, y0, y1, d, *stratum in _parsed_chunks(reader, lines, spec):
         # hashed while the ids are still str, for the distinct check
         hashes.append(np.fromiter(map(hash, uid), dtype=np.int64, count=len(uid)))
-        ids.append(texts[0])
-        strata += texts[1:]
-        y0s.append(a0)
-        y1s.append(a1)
-        ds.append(_binary(d))
+        ids.append(_text(uid))
+        strata += map(_text, stratum)
+        y0s.append(y0)
+        y1s.append(y1)
+        ds.append(d)
     if not ids:
         raise PanelFormatError("no data rows")
     unit_ids = np.concatenate(ids)
@@ -605,38 +627,22 @@ def _codes(table: dict, keys: list) -> np.ndarray:
 def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "t", "y", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
-    names = ("unit_id", "t", "y", "d") + (("stratum",) if has_stratum else ())
-    parsers = (
-        partial(_parse_binary, field="t", what="period"),
-        partial(_parse_float, field="y"),
-        partial(_parse_binary, field="d", what="treatment"),
-    )
-    units: dict = {}
-    labels: dict = {}
+    # a bad period, outcome or treatment is named before a lone surrogate
+    # in the same row
+    spec = [("t", "period"), ("y", "float"), ("d", "treatment"), ("unit_id", "text")]
+    spec += [("stratum", "text")] if has_stratum else []
+    units, labels = {}, {}
     codes, ts, ys, ds, ss = [], [], [], [], []
     fault = None
     try:
-        for row_num, (uid, t, y, d, *stratum) in _column_chunks(reader, lines, names):
-            try:
-                a = _floats(y)
-                ok = _BINARY.issuperset(t) and np.isfinite(a).all() and _BINARY.issuperset(d)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                # the rows before the first unparsable one are still paired,
-                # since they may hold an earlier fault
-                k, fault = _first_bad_row(row_num, (t, y, d), parsers)
-                uid, t, y, d, *stratum = (column[:k] for column in (uid, t, y, d, *stratum))
-                a = _floats(y)
+        for t, y, d, uid, *stratum in _parsed_chunks(reader, lines, spec):
             codes.append(_codes(units, uid).astype(np.int32))
-            ts.append(_binary(t))
-            ys.append(a)
-            ds.append(_binary(d))
+            ts.append(t)
+            ys.append(y)
+            ds.append(d)
             if has_stratum:
                 ss.append(_codes(labels, stratum[0]).astype(np.int32))
-            if fault is not None:
-                break
-    except PanelFormatError as err:  # an unreadable row, raised after the rows before it
+    except PanelFormatError as err:  # raised after the rows before it
         fault = err
     if not units:
         raise fault or PanelFormatError("no data rows")
@@ -653,38 +659,26 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     bad = dup | (d != d[first][code])
     if has_stratum:
         bad |= s != s[first][code]
-    # the fault in the earliest row is reported; a read fault ended the
-    # read, so it comes after every row here
-    faults = []
+    # the fault in the earliest row is reported; a fault that ended the
+    # read comes after every row here
     if bad.any():
         k = int(bad.argmax())
         row, unit = 2 + k, keys[code[k]]  # rows are numbered from 2, blank ones skipped
         if dup[k]:
-            err = PanelFormatError(
+            raise PanelFormatError(
                 f"duplicate (unit, period) for unit {unit!r} at t={int(t[k])}", row=row
             )
-        elif d[k] != d[first[code[k]]]:
-            err = PanelFormatError(
+        if d[k] != d[first[code[k]]]:
+            raise PanelFormatError(
                 f"treatment not constant within unit {unit!r}", row=row, field="d"
             )
-        else:
-            err = PanelFormatError(
-                f"stratum not constant within unit {unit!r}", row=row, field="stratum"
-            )
-        faults.append(err)
-    packed = {}
-    for field, values, where in (("unit_id", keys, code), ("stratum", list(labels), s)):
-        if where is not None:
-            try:
-                packed[field] = _packed(values, where, field)
-            except PanelFormatError as err:
-                faults.append(err)
-    del keys, labels
-    if faults:
-        raise min(faults, key=lambda err: err.row)
+        raise PanelFormatError(
+            f"stratum not constant within unit {unit!r}", row=row, field="stratum"
+        )
     if fault is not None:
         raise fault
-    ids = packed["unit_id"]
+    ids = _text(keys)
+    del keys
     if len(code) < 2 * len(ids):
         # with no repeats, a unit with one row is missing the other period
         i = int(np.bincount(code, minlength=len(ids)).argmin())
@@ -695,20 +689,7 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     y = np.empty((2, len(ids)))
     y[t, code] = np.concatenate(ys)
     del ys
-    strata = packed["stratum"][s[first]] if has_stratum else None
+    strata = _text(list(labels))[s[first]] if has_stratum else None
     return TwoPeriodPanel(
         unit_ids=ids, y0=y[0], y1=y[1], d=d[first], strata=strata, _ids_distinct=True
     )
-
-
-def _packed(values: list, where: np.ndarray, field: str) -> np.ndarray:
-    """The distinct ``values`` of a long column as one text array.
-    ``where`` holds each row's index into them, so that a lone surrogate
-    is named at the first row that holds it."""
-    try:
-        return _text(values)
-    except UnicodeEncodeError:
-        rows = np.unique(where, return_index=True)[1].tolist()
-        for raw, k in zip(values, rows):
-            _parse_text(raw, 2 + k, field)
-        raise

@@ -203,6 +203,50 @@ class TestLoadedTextColumns:
             load_two_period(text, "long")
         assert (got.value.row, got.value.field) == (3, "d")
 
+    @pytest.mark.parametrize("field", ["unit_id", "stratum"])
+    def test_a_bad_period_is_named_before_a_lone_surrogate_in_its_row(self, field):
+        uid, stratum = ("b\ud800", "B") if field == "unit_id" else ("b", "B\ud800")
+        text = f"unit_id,t,y,d,stratum\na,0,1,1,A\n{uid},7,1,0,{stratum}\n"
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, "long")
+        assert str(got.value) == "period must be 0 or 1, got '7' (row: 3, field: t)"
+
+    def test_a_wide_lone_surrogate_id_is_named_before_a_bad_number_in_its_row(self):
+        text = "unit_id,y0,y1,d\na,1,2,1\nb\ud800,x,2,0\n"
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, "wide")
+        assert (got.value.row, got.value.field) == (3, "unit_id")
+        assert str(got.value).startswith("lone surrogate in ")
+
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    @pytest.mark.parametrize("field", ["unit_id", "stratum"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_lone_surrogate_in_a_later_chunk_is_named_at_its_row(
+        self, layout, field, at, monkeypatch
+    ):
+        # the bad row is row ``at`` of a later 2-row chunk, the only one
+        # to hold a lone surrogate
+        monkeypatch.setattr(panel_module, "CHUNK_ROWS", 2)
+        bad = "c\ud800"
+        uid, stratum = (bad, "C") if field == "unit_id" else ("c", bad)
+        if layout == "wide":
+            head, rows = "unit_id,y0,y1,d,stratum\na,1,2,1,A\nb,1,2,0,B\n", [
+                f"{uid},1,2,0,{stratum}\n", "x,0,0,0,A\n"]
+        else:
+            head = "unit_id,t,y,d,stratum\na,0,1,1,A\na,1,2,1,A\nb,0,1,0,B\nb,1,2,0,B\n"
+            rows = [f"{uid},0,1,0,{stratum}\n", "x,0,1,0,A\n"]
+        text = head + "".join(rows[::-1] if at else rows)
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, layout)
+        assert (got.value.row, got.value.field) == (head.count("\n") + 1 + at, field)
+
+    def test_a_pairing_fault_beats_a_lone_surrogate_in_a_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(panel_module, "CHUNK_ROWS", 2)
+        text = "unit_id,t,y,d\na,0,1,1\na,0,2,1\nb\ud800,0,1,0\nb\ud800,1,1,0\n"
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, "long")
+        assert str(got.value) == "duplicate (unit, period) for unit 'a' at t=0 (row: 3)"
+
     def test_a_loaded_wide_panel_keeps_at_most_48_bytes_a_row(self):
         n = 20_000
         text = "unit_id,y0,y1,d\n" + "".join(

@@ -393,6 +393,15 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
     unit_id: ids are compared after every row is read, so any other fault
     is reported first.  A wide load's peak memory is the parsed columns
     plus one chunk of lines, or plus one column while it is joined.
+
+    A long load keeps no Python string per unit.  While it reads, it keeps
+    each row's period, outcome, treatment and entry code, and for each
+    entry, an id distinct within its chunk, the id's hash and packed text;
+    after the read it groups the entries into units by their hashes.  It
+    peaks while it reads, with one chunk of lines alive, or while it groups
+    the entries.  Both peaks are least when each unit's rows fall in one
+    chunk, so that a unit is one entry: a file sorted by unit has that
+    chunk locality, a file sorted by period does not.
     """
     if layout not in ("wide", "long"):
         raise ValueError(f"layout must be 'wide' or 'long', got {layout!r}")
@@ -624,6 +633,36 @@ def _codes(table: dict, keys: list) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, keys), dtype=np.intp, count=len(keys))
 
 
+def _group_entries(hashes: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """For each entry, the index of the first entry with the same id; the
+    entries are given by their ids' hashes and packed ids.
+
+    Sorts the hashes, in place, and takes the first entry of each run of
+    equal ones; then compares each entry's packed id with that entry's.
+    Only when two ids that share a hash differ, or an id that repeats is
+    empty or missing (a missing id compares equal to an empty one), are
+    the entries grouped by the ids themselves.
+    """
+    order = np.argsort(hashes).astype(np.int32)
+    hashes.sort()
+    run = np.ones(len(hashes), dtype=bool)
+    run[1:] = hashes[1:] != hashes[:-1]
+    starts = np.flatnonzero(run)
+    del run
+    # every entry of a run gets the run's smallest entry index
+    rep = np.empty_like(order)
+    rep[order] = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=len(order)))
+    del order
+    later = rep != np.arange(len(rep), dtype=np.int32)
+    repeats = packed[later]
+    if (repeats != packed[rep[later]]).any() or (repeats == "").any():
+        first: dict = {}
+        return np.fromiter(
+            map(first.setdefault, packed.tolist(), count()), dtype=np.intp, count=len(packed)
+        )
+    return rep
+
+
 def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "t", "y", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
@@ -631,12 +670,21 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     # in the same row
     spec = [("t", "period"), ("y", "float"), ("d", "treatment"), ("unit_id", "text")]
     spec += [("stratum", "text")] if has_stratum else []
-    units, labels = {}, {}
-    codes, ts, ys, ds, ss = [], [], [], [], []
+    labels: dict = {}
+    # an entry is an id distinct within its chunk: each row keeps the code
+    # of its entry, and each entry its id's hash and packed text
+    codes, hashes, packed, ts, ys, ds, ss = [], [], [], [], [], [], []
+    entries = 0
     fault = None
     try:
         for t, y, d, uid, *stratum in _parsed_chunks(reader, lines, spec):
-            codes.append(_codes(units, uid).astype(np.int32))
+            table: dict = {}  # this chunk's ids only
+            codes.append((_codes(table, uid) + entries).astype(np.int32))
+            keys = list(table)
+            hashes.append(np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys)))
+            packed.append(_text(keys))
+            entries += len(keys)
+            del table, keys
             ts.append(t)
             ys.append(y)
             ds.append(d)
@@ -644,18 +692,32 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
                 ss.append(_codes(labels, stratum[0]).astype(np.int32))
     except PanelFormatError as err:  # raised after the rows before it
         fault = err
-    if not units:
+    if not codes:
         raise fault or PanelFormatError("no data rows")
-    code, t, d = map(np.concatenate, (codes, ts, ds))
+    entry, t, d = map(np.concatenate, (codes, ts, ds))
     s = np.concatenate(ss) if has_stratum else None
     del codes, ts, ds, ss
-    keys = list(units)  # the ids, distinct as dict keys
-    del units
+    packed, hashes = np.concatenate(packed), np.concatenate(hashes)
+    rep = _group_entries(hashes, packed)
+    del hashes
+    # units are numbered in the order of their first entries, which is the
+    # order of their first rows
+    is_first = rep == np.arange(entries)
+    ids = packed[is_first]
+    del packed
+    code = (np.cumsum(is_first, dtype=np.int32) - 1)[rep][entry]
+    del rep, is_first, entry
+    # the first row of each (unit, period) slot; a later row in a slot is a
+    # repeat, and a slot no row fills holds the row count
+    n = len(code)
+    key = 2 * code + t
+    slot = np.full(2 * len(ids), n, dtype=np.int32)
+    np.minimum.at(slot, key, np.arange(n, dtype=np.int32))
+    dup = slot[key] != np.arange(n, dtype=np.int32)
+    del key
     # the first row of each unit sets its treatment and stratum; a later
-    # row that repeats a (unit, period) or changes either is a fault
-    first = np.unique(code, return_index=True)[1]
-    dup = np.ones(len(code), dtype=bool)
-    dup[np.unique(2 * code + t, return_index=True)[1]] = False
+    # row that changes either is a fault
+    first = np.minimum(slot[0::2], slot[1::2])
     bad = dup | (d != d[first][code])
     if has_stratum:
         bad |= s != s[first][code]
@@ -663,7 +725,7 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     # read comes after every row here
     if bad.any():
         k = int(bad.argmax())
-        row, unit = 2 + k, keys[code[k]]  # rows are numbered from 2, blank ones skipped
+        row, unit = 2 + k, ids[code[k]]  # rows are numbered from 2, blank ones skipped
         if dup[k]:
             raise PanelFormatError(
                 f"duplicate (unit, period) for unit {unit!r} at t={int(t[k])}", row=row
@@ -677,11 +739,9 @@ def _load_long(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
         )
     if fault is not None:
         raise fault
-    ids = _text(keys)
-    del keys
-    if len(code) < 2 * len(ids):
+    if n < 2 * len(ids):
         # with no repeats, a unit with one row is missing the other period
-        i = int(np.bincount(code, minlength=len(ids)).argmin())
+        i = int((slot == n).argmax()) // 2
         raise PanelFormatError(
             f"missing period for unit {ids[i]!r}: have t={[int(t[first[i]])]}, "
             "need both 0 and 1"

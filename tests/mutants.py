@@ -71,9 +71,28 @@ MUTANTS = [
      '("d", "treatment"), ("unit_id", "float")]\n',
      "a long unit_id is read as a number"),
     # the long layout's pairing
-    (PANEL, "np.unique(2 * code + t, return_index=True)",
-     "np.unique(code + t, return_index=True)",
+    (PANEL, "(_codes(table, uid) + entries)", "(_codes(table, uid) + entries - 1)",
+     "the chunk offset of the entry codes is off by one"),
+    (PANEL, 'if (repeats != packed[rep[later]]).any() or (repeats == "").any():',
+     'if False:', "the ids of a hash tie are not compared"),
+    (PANEL, 'or (repeats == "").any():', ":",
+     "a missing id and an empty one that share a hash are one unit"),
+    (PANEL, "np.minimum.reduceat(order, starts)", "order[starts]",
+     "any entry of a run of equal hashes stands for it, not the first"),
+    (PANEL, "    ids = packed[is_first]\n    del packed\n"
+     "    code = (np.cumsum(is_first, dtype=np.int32) - 1)[rep][entry]\n",
+     "    by_hash = np.argsort(np.fromiter(map(hash, packed[is_first].tolist()), np.int64))\n"
+     "    ids = packed[is_first][by_hash]\n    del packed\n"
+     "    number = np.empty(len(ids), dtype=np.int32)\n"
+     "    number[by_hash] = np.arange(len(ids), dtype=np.int32)\n"
+     "    code = number[np.cumsum(is_first) - 1][rep][entry]\n",
+     "units are ordered by hash, not by first entry"),
+    (PANEL, "key = 2 * code + t", "key = code + t",
      "(unit, period) keys of neighbouring units collide"),
+    (PANEL, "np.minimum.at(slot, key,", "np.maximum.at(slot, key,",
+     "the last row of a (unit, period), not the first, is kept"),
+    (PANEL, "first = np.minimum(slot[0::2], slot[1::2])", "first = slot[0::2]",
+     "a unit's t=0 row, not its first, sets its treatment and stratum"),
     (PANEL, "bad = dup | (d != d[first][code])", "bad = dup",
      "a treatment change within a unit passes"),
     (PANEL, "        bad |= s != s[first][code]\n", "        pass\n",
@@ -83,7 +102,7 @@ MUTANTS = [
      "the fault that ended the read beats an earlier pairing fault"),
     (PANEL, "k = int(bad.argmax())", "k = len(bad) - 1 - int(bad[::-1].argmax())",
      "the last pairing fault is named, not the first"),
-    (PANEL, "if len(code) < 2 * len(ids):", "if len(code) < 2 * len(ids) - 1:",
+    (PANEL, "if n < 2 * len(ids):", "if n < 2 * len(ids) - 1:",
      "one unit missing a period passes"),
     # the changes-in-changes assembly
     (CIC, "root = phi_u if regime.s == 1 else phi_l",

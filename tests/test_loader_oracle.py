@@ -176,11 +176,28 @@ def test_wide_matches_reference(text, chunk):
         assert_same_result(text, "wide")
 
 
-@example(text="unit_id,t,y,d\nu0,0,1,0\nu0,0,2,0\ncr\rhere,0,0,0\n", chunk=8)
+def colliding_hash(uid) -> int:
+    """A hash under which most ids tie, so that the long loader must settle
+    its ties by comparing the ids themselves."""
+    return 0 if uid is None else len(uid) % 3
+
+
+@contextlib.contextmanager
+def ids_hashed_by(function):
+    panel_module.hash = function
+    try:
+        yield
+    finally:
+        del panel_module.hash
+
+
+@example(text="unit_id,t,y,d\nu0,0,1,0\nu0,0,2,0\ncr\rhere,0,0,0\n", chunk=8, hash_=hash)
+# a missing id and an empty one are two units, though they compare equal packed
+@example(text="t,y,d,unit_id\n0,1,1\n0,1,0,\n1,2,1\n1,2,0,\n", chunk=1, hash_=colliding_hash)
 @settings(max_examples=400, deadline=None)
-@given(text=long_files(), chunk=CHUNKS)
-def test_long_matches_reference(text, chunk):
-    with chunk_rows(chunk):
+@given(text=long_files(), chunk=CHUNKS, hash_=st.sampled_from([hash, colliding_hash]))
+def test_long_matches_reference(text, chunk, hash_):
+    with chunk_rows(chunk), ids_hashed_by(hash_):
         assert_same_result(text, "long")
 
 

@@ -4,10 +4,11 @@ Each test runs ``cli.main`` on a small generated panel and on a changed
 copy of it, and checks a relation that the estimator obeys whatever the
 data: unit fixed effects and a common time shock difference out, a
 positive rescaling of the outcomes rescales every length and leaves C_n
-and t-tilde alone, the row order does not matter, and the two CSV
-layouts of one panel give one report.  A last relation checks that the
-changes-in-changes counterfactual quantile commutes with a strictly
-increasing map.
+and t-tilde alone, the row order does not matter, the two CSV layouts of
+one panel give one report, and negating every outcome while flipping the
+declared signs of mu and tau mirrors the report bit for bit.  A last
+relation checks that the changes-in-changes counterfactual quantile
+commutes with a strictly increasing map.
 
 Outcomes lie on a grid of quarters small enough that their sums and
 shifts are exact in float64, so a relation fails only by the rounding of
@@ -219,6 +220,64 @@ def test_both_layouts_of_one_panel_give_one_report(csv_path, panel, period_major
     # the loaders build equal panels, so the reports differ in the layout only
     assert long == wide.replace('"layout": "wide"', '"layout": "long"')
     assert wide.count('"layout": "wide"') == 1
+
+
+FLIP = {"pos": "neg", "neg": "pos", "zero": "zero"}
+
+
+def flipped(flags: list) -> list:
+    """``flags`` with the signs of mu and tau flipped (a zero tau stays)."""
+    signs = {"--sign-mu": "pos", "--sign-tau": "neg"}  # the defaults
+    signs.update((flag, value) for flag, value in zip(flags, flags[1:]) if flag in signs)
+    return flags + [word for flag, sign in signs.items() for word in (flag, FLIP[sign])]
+
+
+def mirrored(results: dict) -> dict:
+    """The results that negated outcomes and flipped signs must give, from
+    ``results``: every length and end negated, the ends swapped, each
+    endpoint's SE with its end, and the signs flipped in every label."""
+    r = json.loads(json.dumps(results))
+    r["m_hat"], r["t_tilde"] = -r["m_hat"], -r["t_tilde"]
+    for key in ("interval", "confidence_set"):
+        r[key]["lower"], r[key]["upper"] = -r[key]["upper"], -r[key]["lower"]
+    r["interval"]["sign_mu"] *= -1
+    r["interval"]["sign_tau"] *= -1
+    r["sigma"]["se_l"], r["sigma"]["se_u"] = r["sigma"]["se_u"], r["sigma"]["se_l"]
+    r["regime"] = re.sub(r"pos|neg", lambda m: FLIP[m.group()], r["regime"])
+    r["warnings"] = [
+        re.sub(r"(contrast -?)(\S+)", lambda m: "contrast " + ("" if "-" in m[1] else "-") + m[2],
+               re.sub(r"sign_mu=([+-])", lambda m: "sign_mu=" + "-+"[m[1] == "-"], w))
+        for w in r["warnings"]
+    ]
+    return r
+
+
+@SETTINGS
+@given(panel=panels(), layout=st.sampled_from(["wide", "long", "long by period"]),
+       flags=FLAGS | st.just(["--pi", "const:0.3", "--sign-tau", "zero"]))
+def test_negating_the_outcomes_mirrors_the_report(csv_path, panel, layout, flags):
+    y0, y1, d, strata = panel
+    if layout == "wide":
+        def to_csv(a, b):
+            return wide_csv(a, b, d, strata)
+    else:
+        def to_csv(a, b):
+            return long_csv(a, b, d, strata, period_major=layout == "long by period")
+    layout = layout.split()[0]
+    base = json.loads(infer(csv_path, to_csv(y0, y1), flags, layout))
+    negated = json.loads(
+        infer(csv_path, to_csv([-y for y in y0], [-y for y in y1]), flipped(flags), layout)
+    )
+    expected = mirrored(base["results"])
+    got = negated["results"]
+    if got["m_hat"] == 0.0:  # both endpoints are 0, and their SEs' labels a tie
+        for r in (expected, got):
+            r["sigma"]["se_l"], r["sigma"]["se_u"] = sorted(
+                (r["sigma"]["se_l"], r["sigma"]["se_u"])
+            )
+    # negation is exact in float64, and every sum and product negates or
+    # keeps its bits with it: no tolerance
+    assert got == expected
 
 
 INCREASING = {

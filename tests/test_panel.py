@@ -172,7 +172,8 @@ class TestLoadedTextColumns:
         calls.clear()
         long = "unit_id,t,y,d\na,0,1,1\na,1,2,1\nb,0,1,0\nb,1,2,0\n"
         assert load_two_period(long, "long").n == 2
-        assert calls == []  # the ids are the keys of the loader's unit dict
+        # each id once in each chunk it appears in, to group the rows by unit
+        assert calls == ["a", "b"]
 
     @pytest.mark.parametrize("layout", ["wide", "long"])
     @pytest.mark.parametrize("field", ["unit_id", "stratum"])
@@ -281,6 +282,34 @@ class TestLoadedTextColumns:
         # lines; with every column's chunks alive while it was joined, and
         # np.isin's sort on d, it was about 81
         assert peak <= 70 * n
+
+    @pytest.mark.parametrize("order, limit", [("unit-major", 65), ("period-major", 80)])
+    def test_loading_a_long_file_peaks_at_most(self, tmp_path, order, limit):
+        n_units = 50_000
+        y = np.random.default_rng(3).normal(size=(n_units, 2)).tolist()
+        if order == "unit-major":
+            rows = [(i, t) for i in range(n_units) for t in (0, 1)]
+        else:
+            rows = [(i, t) for t in (0, 1) for i in range(n_units)]
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "unit_id,t,y,d\n" + "".join(f"u{i:07d},{t},{y[i][t]!r},{i % 2}\n" for i, t in rows)
+        )
+        del y, rows
+        with open(path) as source:
+            tracemalloc.start()
+            try:
+                panel = load_two_period(source, "long")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert panel.n == n_units
+        # the rows' entry codes, periods, outcomes and treatments (14 bytes a
+        # row), and a hash and a packed id (24 bytes) for each id distinct
+        # within its chunk: one entry a unit when a unit's rows share a
+        # chunk, one a row when they do not.  With one str a unit kept in a
+        # dict until the end, it was about 100 either way
+        assert peak <= limit * 2 * n_units
 
 
 class TestPanelInvariants:

@@ -389,10 +389,10 @@ def load_two_period(source, layout: str = "wide") -> TwoPeriodPanel:
 
     The file is read CHUNK_ROWS rows at a time and parsed column by column;
     the first fault in row order is reported, with its row number counting
-    the header as row 1 and skipping blank lines, but for a repeated wide
-    unit_id: ids are compared after every row is read, so any other fault
-    is reported first.  A wide load's peak memory is the parsed columns
-    plus one chunk of lines, or plus one column while it is joined.
+    the header as row 1 and skipping blank lines; a repeated wide unit_id
+    is a fault of its row, after the row's other fields.  A wide load's
+    peak memory is the parsed columns plus one chunk of lines, or plus one
+    column while it is joined.
 
     A long load keeps no Python string per unit.  While it reads, it keeps
     each row's period, outcome, treatment and entry code, and for each
@@ -601,20 +601,27 @@ def _load_wide(reader: csv.DictReader, lines: Iterator[str]) -> TwoPeriodPanel:
     spec = [("unit_id", "text"), ("y0", "float"), ("y1", "float"), ("d", "treatment")]
     spec += [("stratum", "text")] if has_stratum else []
     ids, hashes, y0s, y1s, ds, strata = [], [], [], [], [], []
-    for uid, y0, y1, d, *stratum in _parsed_chunks(reader, lines, spec):
-        # hashed while the ids are still str, for the distinct check
-        hashes.append(np.fromiter(map(hash, uid), dtype=np.int64, count=len(uid)))
-        ids.append(_text(uid))
-        strata += map(_text, stratum)
-        y0s.append(y0)
-        y1s.append(y1)
-        ds.append(d)
+    fault = None
+    try:
+        for uid, y0, y1, d, *stratum in _parsed_chunks(reader, lines, spec):
+            # hashed while the ids are still str, for the distinct check
+            hashes.append(np.fromiter(map(hash, uid), dtype=np.int64, count=len(uid)))
+            ids.append(_text(uid))
+            strata += map(_text, stratum)
+            y0s.append(y0)
+            y1s.append(y1)
+            ds.append(d)
+    except PanelFormatError as err:  # raised after the rows before it
+        fault = err
     if not ids:
-        raise PanelFormatError("no data rows")
+        raise fault or PanelFormatError("no data rows")
     unit_ids = np.concatenate(ids)
     del ids
+    # a repeated id in the rows before a fault is the earlier fault
     _check_distinct(unit_ids, np.concatenate(hashes), row=2)
     del hashes
+    if fault is not None:
+        raise fault
     # each column joined and its chunks freed before the next is joined
     y0 = np.concatenate(y0s)
     del y0s

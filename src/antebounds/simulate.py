@@ -4,10 +4,12 @@ Generators return only their panels.  Each check computes the value it
 predicts from the config itself (the biased contrast mu - lam * tau, the
 cohort contrast mu - h * tau, the treatment share that caps the
 anticipation share), so bounds and confidence procedures are checked
-against the truth they are supposed to cover.  Replications
-are seeded by mixing a master seed with the replication index
-(SplitMix64), making every study reproducible bit-for-bit and independent
-of execution order or worker count.
+against the truth they are supposed to cover.  Each quantity is drawn
+once: the benchmark and post-treatment models share one draw, and the toy
+check draws only the indicators it compares.  Replications are seeded by
+mixing a master seed with the replication index (SplitMix64), making
+every study reproducible bit-for-bit and independent of execution order
+or worker count.
 
 Falsification configs (anticipation share above the cap, or anticipatory
 effects larger than the treatment effect) are first-class but must be
@@ -18,7 +20,7 @@ assumptions do.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -164,10 +166,6 @@ def _unit_noise(rng: np.random.Generator, cfg: DgpConfig, periods: int = 2) -> n
     return cfg.noise_sd * (math.sqrt(rho) * common + math.sqrt(1.0 - rho) * idio)
 
 
-def _panel_from_arrays(cfg: DgpConfig, y0, y1, d) -> TwoPeriodPanel:
-    return TwoPeriodPanel(unit_ids=range(cfg.n), y0=y0, y1=y1, d=d)
-
-
 def _outcomes(rng: np.random.Generator, cfg: DgpConfig, d, shift0, shift1=None):
     """(y0, y1): group base mean plus unit noise, shifted by ``shift0`` at
     t=0, and by the common trend, mu for the treated and ``shift1`` (if
@@ -181,11 +179,12 @@ def _outcomes(rng: np.random.Generator, cfg: DgpConfig, d, shift0, shift1=None):
     return y0, y1
 
 
-def _draw_two_period(rng: np.random.Generator, cfg: DgpConfig):
-    """Benchmark DGP draws: (y0, y1, d), treated anticipators shifted."""
+def _draw_two_period(rng: np.random.Generator, cfg: DgpConfig, tau0, tau1=None):
+    """Benchmark-style draws: (y0, y1, d), treated anticipators shifted by
+    ``tau0`` at t=0 and by ``tau1`` (if given) at t=1."""
     d = rng.random(cfg.n) < cfg.p_treat
     a = d & (rng.random(cfg.n) < cfg.lam)
-    y0, y1 = _outcomes(rng, cfg, d, a * cfg.tau)
+    y0, y1 = _outcomes(rng, cfg, d, a * tau0, None if tau1 is None else a * tau1)
     return y0, y1, d
 
 
@@ -197,7 +196,7 @@ def generate_two_period(cfg: DgpConfig) -> TwoPeriodPanel:
     anticipators shift the pre-period outcome by tau, which biases the DID
     contrast to mu - lam * tau.
     """
-    return _panel_from_arrays(cfg, *_draw_two_period(_rng(cfg.seed), cfg))
+    return TwoPeriodPanel(range(cfg.n), *_draw_two_period(_rng(cfg.seed), cfg, cfg.tau))
 
 
 @np.errstate(over="ignore")
@@ -217,13 +216,12 @@ def generate_imperfect(cfg: DgpConfig) -> TwoPeriodPanel:
     # anticipated-treated layer: treated & correct, or control & wrong
     shifts = anticipates & ((d & ~wrong) | (~d & wrong))
     y0, y1 = _outcomes(rng, cfg, d, shifts * cfg.tau)
-    return _panel_from_arrays(cfg, y0, y1, d)
+    return TwoPeriodPanel(range(cfg.n), y0, y1, d)
 
 
-@np.errstate(over="ignore")
 def _draw_toy(rng: np.random.Generator, cfg: DgpConfig):
-    """Toy-model draws: (y0, y1, d, a) with a the anticipators of both
-    groups (only treated ones react), A = 1{U <= alpha * P[D=1]}.
+    """Toy-model draws: (d, a), with a the anticipators of both groups,
+    A = 1{U <= alpha * P[D=1]}; no outcomes, which the check never reads.
 
     U follows F(x) = x^k on [0, 1] with k >= 1, a nondecreasing density;
     with alpha <= 1 this keeps the anticipation share below the treatment
@@ -242,9 +240,7 @@ def _draw_toy(rng: np.random.Generator, cfg: DgpConfig):
         )
     d = rng.random(cfg.n) < cfg.p_treat
     u = rng.random(cfg.n) ** (1.0 / cfg.toy_power)
-    a = u <= cfg.toy_alpha * cfg.p_treat
-    y0, y1 = _outcomes(rng, cfg, d, (a & d) * cfg.tau)
-    return y0, y1, d, a
+    return d, u <= cfg.toy_alpha * cfg.p_treat
 
 
 @np.errstate(over="ignore")
@@ -254,11 +250,8 @@ def generate_post_treatment(cfg: DgpConfig) -> TwoPeriodPanel:
     The contrast converges to mu - lam * (tau1 - tau2): equal pre and post
     anticipatory effects cancel and leave identification untouched.
     """
-    rng = _rng(cfg.seed)
-    d = rng.random(cfg.n) < cfg.p_treat
-    a = d & (rng.random(cfg.n) < cfg.lam)
-    y0, y1 = _outcomes(rng, cfg, d, a * cfg.tau1, a * cfg.tau2)
-    return _panel_from_arrays(cfg, y0, y1, d)
+    draw = _draw_two_period(_rng(cfg.seed), cfg, cfg.tau1, cfg.tau2)
+    return TwoPeriodPanel(range(cfg.n), *draw)
 
 
 @np.errstate(over="ignore")
@@ -435,7 +428,7 @@ def _coverage_block(job) -> np.ndarray:
     # an overflow leaves inf or nan in dy, which contrast_moments rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for row, rep in enumerate(range(start, stop)):
-            y0, y1, d[row] = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg)
+            y0, y1, d[row] = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg, cfg.tau)
             np.subtract(y1, y0, out=dy[row])
     return np.column_stack(_contrast_and_se(dy, d))
 
@@ -608,7 +601,8 @@ def staggered_identity_check(
         diff[in_cohort].var(ddof=1) / in_cohort.sum()
         + diff[never].var(ddof=1) / never.sum()
     )
-    predicted = cfg.mu - h_probability(cfg, e, s) * cfg.tau
+    h = h_probability(cfg, e, s)
+    predicted = cfg.mu - h * cfg.tau
     passed = abs(m_hat - predicted) <= 3.0 * se
     return CheckReport(
         name="staggered-identity",
@@ -616,19 +610,16 @@ def staggered_identity_check(
         predicted=predicted,
         se=se,
         passed=passed,
-        details={"e": e, "s": s, "t": t, "h": h_probability(cfg, e, s), "n": cfg.n},
+        details={"e": e, "s": s, "t": t, "h": h, "n": cfg.n},
     )
 
 
 def toy_bound_check(cfg: DgpConfig) -> CheckReport:
     """Empirical anticipation share against the treatment share bound."""
-    y0, y1, d, a = _draw_toy(_rng(cfg.seed), cfg)
-    panel = _panel_from_arrays(cfg, y0, y1, d)  # validates the draws
+    d, a = _draw_toy(_rng(cfg.seed), cfg)
     share = float(a.mean())
-    ratio = panel.n_treated / panel.n
-    se = math.sqrt(
-        share * (1.0 - share) / panel.n + ratio * (1.0 - ratio) / panel.n
-    )
+    ratio = float(d.mean())
+    se = math.sqrt(share * (1.0 - share) / cfg.n + ratio * (1.0 - ratio) / cfg.n)
     passed = share <= ratio + 3.0 * max(se, 1e-12)
     return CheckReport(
         name="toy-anticipation-bound",
@@ -651,9 +642,10 @@ def post_treatment_identity_check(cfg: DgpConfig, reps: int) -> CheckReport:
         raise ValueError("identity check needs at least 2 replications")
     g = GTransform.identity()
     m_hats = np.empty(reps)
-    for rep in range(reps):
-        panel = generate_post_treatment(replace(cfg, seed=derive_seed(cfg.seed, rep)))
-        m_hats[rep] = did_estimand(panel, g)
+    with np.errstate(over="ignore"):
+        for rep in range(reps):
+            draw = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg, cfg.tau1, cfg.tau2)
+            m_hats[rep] = did_estimand(TwoPeriodPanel(range(cfg.n), *draw), g)
     predicted = cfg.mu - cfg.lam * (cfg.tau1 - cfg.tau2)
     se = float(m_hats.std(ddof=1) / math.sqrt(reps))
     estimate = float(m_hats.mean())

@@ -2,8 +2,9 @@
 
 This is the loader as it was before it read by column: one
 ``csv.DictReader`` dict per row, Python ``float`` calls per field, and a
-per-unit record dict in the long layout.  A repeated wide id is named
-with its row, as the loader checks the ids itself.  The property tests in
+per-unit record dict in the long layout.  A repeated wide id is a fault
+of its row, checked after the row's other fields, as the loader checks
+the ids itself.  The property tests in
 ``test_loader_oracle.py`` require the column-wise loader to return an
 equal panel, or to raise a ``PanelFormatError`` with the same message,
 on every input.
@@ -36,22 +37,22 @@ def _load_wide(reader: csv.DictReader) -> TwoPeriodPanel:
     _require_columns(reader, ("unit_id", "y0", "y1", "d"))
     has_stratum = "stratum" in (reader.fieldnames or ())
     ids, y0s, y1s, ds, strata = [], [], [], [], []
+    seen: set = set()
     for row_num, row in enumerate(reader, start=2):
-        ids.append(row["unit_id"])
+        uid = row["unit_id"]
         y0s.append(_parse_float(row["y0"], row_num, "y0"))
         y1s.append(_parse_float(row["y1"], row_num, "y1"))
         ds.append(_parse_binary(row["d"], row_num, "d", "treatment"))
         if has_stratum:
             strata.append(row["stratum"])
-    if not ids:
-        raise PanelFormatError("no data rows")
-    seen: set = set()
-    for row_num, uid in enumerate(ids, start=2):
         if uid in seen:
             raise PanelFormatError(
                 f"unit_id {uid!r} repeats an earlier unit_id", row=row_num, field="unit_id"
             )
         seen.add(uid)
+        ids.append(uid)
+    if not ids:
+        raise PanelFormatError("no data rows")
     return TwoPeriodPanel(
         unit_ids=tuple(ids),
         y0=np.array(y0s),

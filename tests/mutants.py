@@ -31,6 +31,7 @@ CIC = "src/antebounds/cic.py"
 BOUNDS = "src/antebounds/bounds.py"
 INFERENCE = "src/antebounds/inference.py"
 CLI = "src/antebounds/cli.py"
+SIMULATE = "src/antebounds/simulate.py"
 TESTS = [
     "tests/test_panel.py",
     "tests/test_loader_oracle.py",
@@ -40,6 +41,8 @@ TESTS = [
     "tests/test_bounds.py",
     "tests/test_inference.py",
     "tests/test_cli.py",
+    "tests/test_simulate.py",
+    "tests/test_phi_oracle.py",
 ]
 SEED = "20260808"
 
@@ -136,6 +139,29 @@ MUTANTS = [
      "more workers than CPUs are started"),
     (CLI, "        if not math.isfinite(out[key]):\n", "        if False:\n",
      "a non-finite --summary value passes"),
+    # the simulation harness: the shared draw, the toy model and the
+    # coverage engine's contrasts
+    (SIMULATE, "a * tau0, None if tau1 is None else a * tau1",
+     "a * (tau0 if tau1 is None else tau1), None if tau1 is None else a * tau0",
+     "the shared draw swaps the post-treatment model's t=0 and t=1 shifts"),
+    (SIMULATE, "u <= cfg.toy_alpha * cfg.p_treat", "u < cfg.toy_alpha * cfg.p_treat",
+     "a toy unit whose threshold equals the signal level does not anticipate"),
+    (SIMULATE, "np.subtract(y1, y0, out=dy[row])", "np.subtract(y0, y1, out=dy[row])",
+     "the coverage engine's outcome changes are reversed"),
+    # the sensitivity sweep
+    (BOUNDS, "r.cs_lower <= 0.0 <=", "r.cs_lower < 0.0 <=",
+     "a confidence set whose lower end is zero does not contain it"),
+    (BOUNDS, "0.0 <= r.cs_upper", "0.0 < r.cs_upper",
+     "a confidence set whose upper end is zero does not contain it"),
+    (BOUNDS, "-math.inf if pe[1] is None", "math.inf if pe[1] is None",
+     "a grid point with no epsilon sorts after those with one"),
+    # the magnitude-route root
+    (CIC, "np.clip(w_cand[i], 0.0, big)", "np.clip(w_cand[i], -big, big)",
+     "a candidate root just across zero keeps the wrong sign"),
+    (CIC, "    if off.any():\n", "    if False:\n",
+     "a midpoint rounded across a sample value keeps its unchecked rank"),
+    (CIC, "if abs(residual(w)) <= tol:", "if True:",
+     "the first in-segment candidate is returned unverified"),
 ]
 
 

@@ -417,6 +417,13 @@ class TestSensitivitySweep:
         uppers = [r.set_upper for r in rows]
         assert uppers == sorted(uppers) and uppers[0] < uppers[-1]
 
+    def test_rows_ordered_by_pi_then_epsilon_with_none_first(self):
+        grid = [(0.4, 0.2), (0.1, 0.3), (0.4, None), (0.4, 0.0), (0.1, None)]
+        rows = sensitivity_sweep(1.0, 0.2, 1, grid, OPP, 0.95)
+        assert [(r.pi, r.epsilon) for r in rows] == [
+            (0.1, None), (0.1, 0.3), (0.4, None), (0.4, 0.0), (0.4, 0.2)
+        ]
+
     def test_epsilon_zero_row_equals_plain_row(self):
         base = sensitivity_sweep(1.0, 0.2, 1, [(0.4, None)], OPP, 0.95)[0]
         eps0 = sensitivity_sweep(1.0, 0.2, 1, [(0.4, 0.0)], OPP, 0.95)[0]

@@ -200,6 +200,18 @@ class TestSolvePhi:
         assert solve_phi(0.5, "lower", 1, data) == m
         assert solve_phi(0.5, "lower", -1, data) is None
 
+    def test_a_root_within_tolerance_across_zero_keeps_the_sign_of_mu(self):
+        # the first segment's linear root sits 5e-10 on the wrong side of
+        # zero, inside the 1e-9 tolerance, and the residual there is under
+        # it too; the root is clipped to zero, where the residual is not
+        data = CicData.from_samples(
+            treated_t0=[1.0],
+            treated_t1=[1.0 - 0.5e-9],
+            control_t0=[0.0, 1.0],
+            control_t1=[1.0, 1.0 + 0.9e-9],
+        )
+        assert solve_phi(0.5, "upper", 1, data) is None
+
     def test_absent_when_no_sign_change(self):
         data = CicData.from_samples(
             treated_t0=[0.4, 0.5, 0.6],

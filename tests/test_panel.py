@@ -86,6 +86,13 @@ class TestLoaders:
         with pytest.raises(PanelFormatError, match="y1"):
             load_two_period("unit_id,y0,y1,d\na,1.0,oops,1\nb,0.0,1.0,0\n", "wide")
 
+    def test_a_repeated_wide_id_comes_before_a_later_fault(self):
+        # the first fault in row order, as in the long layout
+        text = "unit_id,y0,y1,d\na,1,2,1\na,1,2,0\nb,x,2,0\n"
+        with pytest.raises(PanelFormatError) as got:
+            load_two_period(text, "wide")
+        assert str(got.value) == "unit_id 'a' repeats an earlier unit_id (row: 3, field: unit_id)"
+
     def test_stratum_column(self):
         panel = load_two_period(
             "unit_id,y0,y1,d,stratum\na,1,3,1,east\nb,0,1,0,east\nc,2,2,1,west\ne,1,1,0,west\n",

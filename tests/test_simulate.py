@@ -147,9 +147,26 @@ class TestToyGenerator:
         assert abs(share - 0.4) <= 3 * se
 
     def test_convex_density_bound(self):
-        rep = toy_bound_check(big_cfg(lam=0.0, toy_alpha=1.0, toy_power=2.0, p_treat=0.5))
+        cfg = big_cfg(lam=0.0, toy_alpha=1.0, toy_power=2.0, p_treat=0.5)
+        rep = toy_bound_check(cfg)
         assert rep.passed
         assert rep.details["theoretical_share"] == pytest.approx(0.25)
+        # the check draws no outcomes, so outcome parameters leave it be;
+        # a noise_sd that would overflow them included
+        for outcome_only in (dict(mu=-3.0), dict(tau=2.0), dict(trend=-1.0),
+                             dict(noise_sd=1e308), dict(noise_rho=0.0),
+                             dict(noise_dist="student_t")):
+            assert toy_bound_check(replace(cfg, **outcome_only)).to_dict() == rep.to_dict()
+
+    def test_a_threshold_at_the_signal_level_anticipates(self):
+        # A = 1{U <= alpha * P[D=1]}: the inequality is not strict
+        class Halves:
+            def random(self, size):
+                return np.full(size, 0.5)
+
+        cfg = big_cfg(n=8, lam=0.0, toy_alpha=1.0, toy_power=1.0, p_treat=0.5)
+        d, a = simulate._draw_toy(Halves(), cfg)
+        assert not d.any() and a.all()
 
     def test_many_random_convex_configs(self):
         rng = np.random.default_rng(71)
@@ -231,6 +248,11 @@ class TestPostTreatment:
         rep = post_treatment_identity_check(cfg, reps=50)
         assert rep.predicted == pytest.approx(1.0 - 0.5 * 0.4)
         assert rep.passed
+        # one draw serves both models: with tau2 = 0 the panels are equal
+        post = generate_post_treatment(cfg)
+        bench = generate_two_period(replace(cfg, tau=cfg.tau1))
+        for name in ("y0", "y1", "d"):
+            assert getattr(post, name).tobytes() == getattr(bench, name).tobytes()
 
     def test_spec_example_values(self):
         cfg = DgpConfig(n=20_000, mu=1.0, tau=0.0, lam=0.5, tau1=0.4, tau2=0.1, seed=10)

@@ -4,10 +4,9 @@ This is the loader as it was before it read by column: one
 ``csv.DictReader`` dict per row, Python ``float`` calls per field, and a
 per-unit record dict in the long layout.  A repeated wide id is a fault
 of its row, checked after the row's other fields, as the loader checks
-the ids itself.  The property tests in
-``test_loader_oracle.py`` require the column-wise loader to return an
-equal panel, or to raise a ``PanelFormatError`` with the same message,
-on every input.
+the ids itself.  The property tests in ``test_loader_oracle.py`` require
+the column-wise loader to return an equal panel, or to raise a
+``PanelFormatError`` with the same message, on every input.
 """
 
 from __future__ import annotations

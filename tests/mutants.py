@@ -107,6 +107,10 @@ MUTANTS = [
      "the last pairing fault is named, not the first"),
     (PANEL, "if n < 2 * len(ids):", "if n < 2 * len(ids) - 1:",
      "one unit missing a period passes"),
+    # the wide layout's repeated ids
+    (PANEL, '    if not ids:\n        raise fault or PanelFormatError("no data rows")\n',
+     '    if fault is not None or not ids:\n        raise fault or PanelFormatError("no data rows")\n',
+     "the fault that ended a wide read beats an earlier repeated id"),
     # the changes-in-changes assembly
     (CIC, "root = phi_u if regime.s == 1 else phi_l",
      "root = phi_u if regime.sign_mu == 1 else phi_l",

@@ -38,7 +38,7 @@ from .bounds import (
 from .cic import CicData, cic_identified_set
 from .inference import (
     DegenerateVarianceError,
-    contrast_se,
+    _panel_contrast,
     robust_null_check,
     summary_mode_infer,
 )
@@ -381,8 +381,7 @@ def _contrast(args):
     if not args.input:
         raise CliError("either --input or --summary is required")
     panel, digest = _load_panel(args.input, args.layout)
-    g = _parse_g(args.g)
-    return did_estimand(panel, g), contrast_se(panel, g), panel, digest
+    return (*_panel_contrast(panel, _parse_g(args.g)), panel, digest)
 
 
 def _infer_payload(args):

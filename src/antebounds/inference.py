@@ -14,8 +14,10 @@ its SE enter (Imbens and Manski 2004, Stoye 2009): ``_sets`` is the one
 route from (m_hat, SE) and the endpoint scale factors to C_n and the
 confidence set, for one contrast (:func:`confidence_set`, hence
 :func:`summary_mode_infer`) or arrays of them (sensitivity sweeps, the
-coverage engine).  Panel data only supply the SE (:func:`contrast_se`),
-and published tables need no micro-data.
+coverage engine).  Panel data supply both from one pass over the unit
+changes g(y1) - g(y0): :func:`contrast_moments` adds the variance to
+``bounds._contrast_means``, the one arithmetic of every DID contrast.
+Published tables need no micro-data.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from .bounds import (
     IdentifiedInterval,
     SignRegime,
+    _contrast_means,
     _identified_set,
-    did_estimand,
     endpoint_scale_factors,
 )
 from .numerics import (
@@ -102,62 +104,49 @@ def contrast_moments(dy, d) -> tuple[np.ndarray, np.ndarray]:
 
     ``dy`` holds each unit's outcome change g(y1) - g(y0) and ``d`` its
     treatment indicator; a leading axis stacks independent samples (one
-    row per Monte Carlo replication).  The contrast is the difference of
-    the group mean changes, and its variance is Var1/p + Var0/(1-p) with
-    n_d - 1 denominators, which equals
-    (s11 + s10 - 2cov1)/p + (s01 + s00 - 2cov0)/(1-p).
-
-    Raises
-    ------
-    ValueError
-        If any sample has fewer than two units in a group, or if the
-        contrast or its variance overflows float64.
+    row per Monte Carlo replication).  The contrast and the group means are
+    :func:`bounds._contrast_means`; the variance added here is
+    Var1/p + Var0/(1-p) with n_d - 1 denominators, which equals
+    (s11 + s10 - 2cov1)/p + (s01 + s00 - 2cov0)/(1-p).  A ValueError names
+    a group of fewer than two units, or an overflow of either.
     """
     dy = np.asarray(dy, dtype=float)
     d = np.asarray(d, dtype=bool)
-    n = d.shape[-1]
-    n1 = np.count_nonzero(d, axis=-1)
-    n0 = n - n1
-    small = int(min(n0.min(), n1.min()))
-    if small < 2:
-        group = 0 if n0.min() == small else 1
-        raise ValueError(
-            f"insufficient group size: group d={group} has {small} unit(s), need >= 2"
-        )
-    # 0/1 weights instead of np.where or boolean indexing: same sums, and
-    # several times faster on long rows.  One weight buffer (w1, then w0 in
-    # place) and one scratch buffer hold every product.
-    w = d.astype(float)
-    buf = np.empty(np.broadcast_shapes(dy.shape, w.shape))
+    # the means' weight (w1, w0, w1) and scratch buffers serve the deviations
+    shape = np.broadcast_shapes(dy.shape, d.shape)
+    w, buf = np.empty(shape), np.empty(shape)
+    m, mean1, mean0, n1, n0 = _contrast_means(dy, d, 2, (w, buf))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean1, var1 = _group_moments(dy, w, buf, n1)
-        np.subtract(1.0, w, out=w)
-        mean0, var0 = _group_moments(dy, w, buf, n0)
-        p = n1 / n
-        m, var_m = mean1 - mean0, var1 / p + var0 / (1 - p)
-    if not (np.isfinite(m).all() and np.isfinite(var_m).all()):
+        var0 = _group_variance(dy, mean0, w, buf, n0)
+        var1 = _group_variance(dy, mean1, np.subtract(1.0, w, out=w), buf, n1)
+        p = n1 / d.shape[-1]
+        var_m = var1 / p + var0 / (1 - p)
+    if not np.isfinite(var_m).all():
         raise ValueError(
-            "the DID contrast or its variance overflows float64; rescale the outcomes"
+            "the variance of the DID contrast overflows float64; rescale the outcomes"
         )
     return m, var_m
 
 
-def _group_moments(dy, w, buf, k) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and (k - 1)-denominator variance along the last axis of the
-    ``dy`` whose 0/1 weight ``w`` is 1, k of them; ``buf`` is scratch."""
-    np.multiply(dy, w, out=buf)
-    mean = buf.sum(axis=-1) / k
+def _group_variance(dy, mean, w, buf, k) -> np.ndarray:
+    """(k - 1)-denominator variance along the last axis of the k ``dy``
+    whose 0/1 weight ``w`` is 1, about their ``mean``; ``buf`` is scratch."""
     np.subtract(dy, mean[..., None], out=buf)
     buf *= w
     buf *= buf
-    return mean, buf.sum(axis=-1) / (k - 1)
+    return buf.sum(axis=-1) / (k - 1)
 
 
 def contrast_se(panel: TwoPeriodPanel, g: GTransform) -> float:
     """Standard error of the DID contrast, sqrt(variance / n) with the
     variance of :func:`contrast_moments`; DegenerateVarianceError if 0."""
-    dy = g.apply(panel.y1) - g.apply(panel.y0)
-    return float(_contrast_and_se(dy, panel.d == 1)[1])
+    return _panel_contrast(panel, g)[1]
+
+
+def _panel_contrast(panel: TwoPeriodPanel, g: GTransform) -> tuple[float, float]:
+    """(m_hat, se) of a panel's DID contrast, from one pass over its changes."""
+    m_hat, se = _contrast_and_se(g.change(panel.y0, panel.y1), panel.d)
+    return float(m_hat), float(se)
 
 
 def _contrast_and_se(dy, d) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +179,7 @@ def bound_variances(
     pi_hat enters as a constant: its own sampling noise is ignored,
     matching the estimator the variance formulas are written for.
     """
-    m_hat, se_m = did_estimand(panel, g), contrast_se(panel, g)
+    m_hat, se_m = _panel_contrast(panel, g)
     fa, fb = endpoint_scale_factors(pi_hat, regime, epsilon)
     return (*_endpoint_ses(m_hat, se_m, fa, fb), se_m)
 

@@ -74,6 +74,11 @@ class GTransform:
             return (y <= self.threshold).astype(float)
         raise ValueError(f"unknown GTransform kind {self.kind!r}")
 
+    @np.errstate(over="ignore")
+    def change(self, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+        """Each unit's g(y1) - g(y0), an overflow left for the contrast to name."""
+        return self.apply(y1) - self.apply(y0)
+
     def describe(self) -> str:
         if self.kind == "indicator":
             return f"indicator(u={self.threshold})"

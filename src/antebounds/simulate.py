@@ -27,16 +27,16 @@ import numpy as np
 
 from .bounds import (
     SignRegime,
+    _staggered_changes,
     did_estimand,
     endpoint_scale_factors,
-    staggered_estimand,
 )
 from .cic import CicData
 from .inference import (
     _check_alpha,
     _contrast_and_se,
+    _panel_contrast,
     _sets,
-    contrast_se,
 )
 from .panel import CohortPanel, GTransform, TwoPeriodPanel
 
@@ -254,7 +254,7 @@ def generate_post_treatment(cfg: DgpConfig) -> TwoPeriodPanel:
     return TwoPeriodPanel(range(cfg.n), *draw)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def generate_staggered(cfg: DgpConfig, T: int, cohort_shares: Sequence[float]) -> CohortPanel:
     """Staggered adoption: cohort e first treated at period e, treated ever
     after; anticipation in pre-period s with probability lam * delta^(e-s).
@@ -280,17 +280,12 @@ def generate_staggered(cfg: DgpConfig, T: int, cohort_shares: Sequence[float]) -
     cohorts = rng.choice(cohorts_values, size=cfg.n, p=probs)
     v = rng.random(cfg.n)
     noise = _unit_noise(rng, cfg, periods=T)
-    ever = np.isfinite(cohorts)
-    base = np.where(ever, cfg.base_means[1], cfg.base_means[0])
+    base = np.where(np.isfinite(cohorts), cfg.base_means[1], cfg.base_means[0])
     periods = np.arange(1, T + 1)[None, :]
-    treated_now = ever[:, None] & (periods >= cohorts[:, None])
-    with np.errstate(invalid="ignore"):
-        h = np.where(
-            ever[:, None] & (periods < cohorts[:, None]),
-            cfg.lam * cfg.delta ** (cohorts[:, None] - periods),
-            0.0,
-        )
-    anticipating = v[:, None] < h
+    # never-treated units (cohort inf) are never treated, and their h is 0
+    treated_now = periods >= cohorts[:, None]
+    h = h_probability(cfg, cohorts[:, None], periods)
+    anticipating = v[:, None] < np.where(periods < cohorts[:, None], h, 0.0)
     outcomes = (
         base[:, None]
         + cfg.trend * periods
@@ -301,10 +296,9 @@ def generate_staggered(cfg: DgpConfig, T: int, cohort_shares: Sequence[float]) -
     return CohortPanel(unit_ids=range(cfg.n), outcomes=outcomes, cohorts=cohorts)
 
 
-def h_probability(cfg: DgpConfig, e: int, s: int) -> float:
-    """Anticipation probability in pre-period s for cohort e."""
-    if not s < e:
-        raise ValueError(f"pre-period must precede treatment: s={s}, e={e}")
+def h_probability(cfg: DgpConfig, e, s):
+    """Anticipation probability lam * delta^(e-s) in pre-period s < e for
+    cohort e; arrays of e and s broadcast."""
     return cfg.lam * cfg.delta ** (e - s)
 
 
@@ -545,8 +539,9 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     @property
-    def z(self) -> float:
-        return (self.estimate - self.predicted) / self.se if self.se > 0 else math.inf
+    def z(self) -> float | None:
+        """(estimate - predicted) / se; None (JSON null) when se is 0."""
+        return (self.estimate - self.predicted) / self.se if self.se > 0 else None
 
     def to_dict(self) -> dict:
         return {
@@ -574,8 +569,7 @@ def decomposition_check(cfg: DgpConfig, variant: str = "benchmark") -> CheckRepo
         predicted = cfg.mu - cfg.lam * (1.0 - 2.0 * cfg.epsilon) * cfg.tau
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    m_hat = did_estimand(panel, GTransform.identity())
-    se = contrast_se(panel, GTransform.identity())
+    m_hat, se = _panel_contrast(panel, GTransform.identity())
     passed = abs(m_hat - predicted) <= 3.0 * se
     return CheckReport(
         name=f"decomposition/{variant}",
@@ -592,15 +586,8 @@ def staggered_identity_check(
 ) -> CheckReport:
     """Staggered contrast against mu - lam * delta^(e-s) * tau."""
     panel = generate_staggered(cfg, T, cohort_shares)
-    g = GTransform.identity()
-    m_hat = staggered_estimand(panel, e, s, t, g)
-    diff = panel.outcomes_at(t) - panel.outcomes_at(s)
-    in_cohort = panel.cohort_mask(float(e))
-    never = panel.cohort_mask(math.inf)
-    se = math.sqrt(
-        diff[in_cohort].var(ddof=1) / in_cohort.sum()
-        + diff[never].var(ddof=1) / never.sum()
-    )
+    rows = _staggered_changes(panel, e, s, t, GTransform.identity())
+    m_hat, se = map(float, _contrast_and_se(*rows))
     h = h_probability(cfg, e, s)
     predicted = cfg.mu - h * cfg.tau
     passed = abs(m_hat - predicted) <= 3.0 * se

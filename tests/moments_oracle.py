@@ -33,8 +33,10 @@ def contrast_moments(dy, d) -> tuple[np.ndarray, np.ndarray]:
         var0 = (dev0 * dev0).sum(axis=-1) / (n0 - 1)
         p = n1 / n
         m, var_m = mean1 - mean0, var1 / p + var0 / (1 - p)
-    if not (np.isfinite(m).all() and np.isfinite(var_m).all()):
+    if not np.isfinite(m).all():
+        raise ValueError("the DID contrast overflows float64; rescale the outcomes")
+    if not np.isfinite(var_m).all():
         raise ValueError(
-            "the DID contrast or its variance overflows float64; rescale the outcomes"
+            "the variance of the DID contrast overflows float64; rescale the outcomes"
         )
     return m, var_m

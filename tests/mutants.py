@@ -123,6 +123,18 @@ MUTANTS = [
      "a known-zero anticipatory effect takes the negative branch"),
     (CIC, "    if lo <= hi:\n", "    if lo < hi:\n",
      "a point interval is reported as empty"),
+    # the one DID contrast: its weights, group sizes, overflow check, and
+    # the rows of a staggered contrast
+    (BOUNDS, "np.copyto(w, d)", "np.subtract(1.0, d, out=w)",
+     "the treated and control weights are swapped"),
+    (BOUNDS, ".sum(axis=-1) / n1\n", ".sum(axis=-1) / n0\n",
+     "the treated mean divides by the control count"),
+    (BOUNDS, ".sum(axis=-1) / n0\n", ".sum(axis=-1) / n1\n",
+     "the control mean divides by the treated count"),
+    (BOUNDS, "    if not np.isfinite(m).all():\n", "    if False:\n",
+     "an overflowing contrast passes"),
+    (BOUNDS, "rows = cohort | panel.cohort_mask(math.inf)", "rows = cohort | ~cohort",
+     "a staggered contrast compares against every other unit, not the never-treated"),
     # the interval, the confidence set and the CLI's exit routing
     (BOUNDS, "den1 = 1.0 + s * pi * epsilon", "den1 = 1.0 - s * pi * epsilon",
      "the imperfect-anticipation factor takes the wrong sign"),

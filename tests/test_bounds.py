@@ -70,11 +70,25 @@ class TestDidEstimand:
         assert m == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("g", [GTransform.identity(), GTransform.indicator(0.1)])
-    def test_bits_equal_group_stats_contrast(self, g):
+    def test_bits_equal_contrast_moments_and_the_coverage_engine(self, g):
+        # one arithmetic for every DID contrast: estimate, infer and the
+        # coverage engine give each replication's m_hat with the same bits;
+        # four group-period means (diff_in_diff) differ in the last ulp on
+        # most of these replications, so they are only the oracle
+        from antebounds.inference import contrast_moments
         from antebounds.panel import group_stats
+        from antebounds.simulate import DgpConfig, _coverage_block, derive_seed, generate_two_period
 
-        panel = make_panel(*np.random.default_rng(4).normal(size=(2, 97)), [1, 0] * 48 + [1])
-        assert did_estimand(panel, g) == group_stats(panel, g).diff_in_diff()
+        cfg = DgpConfig(n=97, mu=0.2, tau=-0.2, lam=0.3, seed=26)
+        block = _coverage_block((cfg, 0, 32))
+        for rep in range(32):
+            panel = generate_two_period(dataclasses.replace(cfg, seed=derive_seed(cfg.seed, rep)))
+            m = did_estimand(panel, g)
+            dy = g.apply(panel.y1) - g.apply(panel.y0)
+            assert m.hex() == float(contrast_moments(dy, panel.d == 1)[0]).hex()
+            if g.kind == "identity":
+                assert m.hex() == float(block[rep, 0]).hex()
+            assert m == pytest.approx(group_stats(panel, g).diff_in_diff(), rel=1e-12, abs=1e-14)
 
     def test_one_unit_per_group(self):
         panel = make_panel([1, 0, 2], [4, 1, 3], [1, 0, 0])

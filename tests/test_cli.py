@@ -637,15 +637,32 @@ class TestExitContract:
         assert err == f"error: --summary {bad.split('=')[0]} must be finite, got {bad.split('=')[1]!r}\n"
 
 
-    @pytest.mark.parametrize("argv", [
+    HUGE_ARGV = [
         ["estimate", "--pi", "const:0.3"],
         ["estimate", "--pi", "treatment-ratio"],
         ["estimate", "--pi", "stratum"],
         ["infer", "--pi", "const:0.3"],
         ["sensitivity", "--pi-grid", "0.1,0.2"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", HUGE_ARGV)
     def test_overflowing_outcomes_are_named(self, capsys, tmp_path, argv):
-        # finite outcomes whose treated-group sum overflows float64
+        # finite outcomes whose treated-group sum of changes overflows float64
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "unit_id,y0,y1,d,stratum\n"
+            "a,0,1e308,1,A\nb,0,1e308,1,A\nc,0,1,0,A\ne,0,2,0,A\n"
+        )
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert (code, out, raised) == (2, "", [])
+        assert err.count("\n") == 1 and "overflows float64" in err
+
+    @pytest.mark.parametrize("argv", HUGE_ARGV)
+    def test_huge_levels_with_finite_changes_give_a_result(self, capsys, tmp_path, argv):
+        # each period's treated sum overflows float64, but the contrast is
+        # taken over the changes y1 - y0, which are all finite
         path = tmp_path / "huge.csv"
         path.write_text(
             "unit_id,y0,y1,d,stratum\n"
@@ -653,9 +670,15 @@ class TestExitContract:
         )
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
-            code, out, err = run(capsys, argv + ["--input", str(path)])
-        assert (code, out, raised) == (2, "", [])
-        assert err.count("\n") == 1 and "overflows float64" in err
+            code, out, err = run(capsys, argv + ["--input", str(path), "--format", "json"])
+        assert (code, err, raised) == (0, "", [])
+        report = json.loads(out)
+        results = report["results"]
+        m_hat = (
+            results["strata"]["A"]["m_hat"] if "strata" in results
+            else results.get("m_hat", report["manifest"]["config"].get("m_hat"))
+        )
+        assert m_hat == -1.5
 
     @pytest.mark.parametrize("flags", [
         ["--scenario", "toy", "--toy-power", "nan"],

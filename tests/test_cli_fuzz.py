@@ -239,6 +239,33 @@ def test_simulate_flag_values_keep_the_exit_contract(scenario, flag):
             assert (code == 1) == (verdict == "fail"), (flag, value, code)
 
 
+@st.composite
+def simulate_settings(draw) -> list[str]:
+    """A ``simulate`` command line with its draw settings at joint extremes:
+    samples small enough to have no treated or no control unit, and noise
+    small enough to make a standard error 0."""
+    scenario = draw(st.sampled_from(sorted(SIMULATE_FLAGS)))
+    extreme = lambda values: draw(st.sampled_from(values))
+    return [
+        "simulate", "--scenario", scenario, "--workers", "1", "--lambda-grid", "0",
+        "--n", str(draw(st.integers(4, 12))), "--reps", str(draw(st.integers(2, 4))),
+        "--seed", str(draw(st.integers(0, 2**32))),
+        "--p-treat", extreme(["0.001", "0.01", "0.3", "0.5", "0.99", "0.999"]),
+        "--noise-sd", extreme(["1e-300", "1e-12", "1", "1e150"]),
+        "--lam", extreme(["0", "0.5", "1"]),
+    ]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(simulate_settings())
+def test_simulate_joint_settings_keep_the_exit_contract(argv):
+    code, report = _run_in_contract(argv)
+    if report is not None:
+        results = report["results"]
+        verdict = results.get("verdict", "pass" if results.get("passed") else "fail")
+        assert (code == 1) == (verdict == "fail"), argv
+
+
 # ``infer`` and ``sensitivity`` in summary mode: every flag they read, at
 # each awkward value.  A key of --summary is set through its own token; the
 # value of --pi goes after ``const:``.  Neither command has a threshold, so

@@ -95,13 +95,19 @@ class EmpiricalDistribution:
         return self.values[np.minimum(k, n) - 1]
 
 
-def _control_map(
-    y: float, control_t0: EmpiricalDistribution, control_t1: EmpiricalDistribution
-) -> float:
-    p = control_t0.cdf(y)
-    if p <= 0.0:
-        return -math.inf
-    return control_t1.quantile(min(p, 1.0))
+def _control_map_table(
+    control_t0: EmpiricalDistribution, control_t1: EmpiricalDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """The control map Q01(F00(y)) by rank: ``(v, h)``.
+
+    ``h[r] = Q01(r/n0)`` is the map at any y with r control pre-period
+    values at or below it, and ``h[0] = -inf``.  ``v`` is the sorted sample
+    padded with -inf and +inf, so that rank r means ``v[r] <= y < v[r + 1]``.
+    """
+    n0 = control_t0.n
+    v = np.concatenate(([-np.inf], control_t0.values, [np.inf]))
+    h = control_t1.quantile_vec(np.arange(1, n0 + 1) / n0)
+    return v, np.concatenate(([-np.inf], h))
 
 
 @dataclass(frozen=True)
@@ -140,26 +146,17 @@ class CicData:
         return max(his) - min(los)
 
     def control_map(self, y: float) -> float:
-        """Q01(F00(y)): where the control group's period move sends level y.
-
-        Returns -inf when y sits below the entire control pre-period
-        sample (the generalized inverse at level zero).
-        """
-        return _control_map(y, self.control_t0, self.control_t1)
+        """Q01(F00(y)): where the control group's period move sends level y,
+        read from :attr:`control_map_table`; -inf when y sits below the
+        entire control pre-period sample."""
+        _, h = self.control_map_table
+        return float(h[np.searchsorted(self.control_t0.values, y, side="right")])
 
     @cached_property
     def control_map_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The control map by rank, built on first use: ``(v, h)``.
-
-        ``v`` is the sorted control pre-period sample padded with -inf and
-        +inf, so ``searchsorted(sample, y, 'right')`` is r exactly when
-        ``v[r] <= y < v[r + 1]``; for such y, ``control_map(y)`` is
-        ``h[r] = Q01(r/n0)``, with ``h[0] = -inf``.
-        """
-        n0 = self.control_t0.n
-        v = np.concatenate(([-np.inf], self.control_t0.values, [np.inf]))
-        h = self.control_t1.quantile_vec(np.arange(1, n0 + 1) / n0)
-        return v, np.concatenate(([-np.inf], h))
+        """:func:`_control_map_table` of the control samples, built on first
+        use."""
+        return _control_map_table(self.control_t0, self.control_t1)
 
 
 def counterfactual_quantile(
@@ -171,7 +168,8 @@ def counterfactual_quantile(
     """q-th quantile of the counterfactual untreated outcome for the
     treated group: Q01(F00(Q10(q)))."""
     _check_q(q)
-    return _control_map(d_treated_t0.quantile(q), d_control_t0, d_control_t1)
+    _, h = _control_map_table(d_control_t0, d_control_t1)
+    return float(h[np.searchsorted(d_control_t0.values, d_treated_t0.quantile(q), side="right")])
 
 
 def _shifted_composition(q: float, shift: float, data: CicData) -> float:

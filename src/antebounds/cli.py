@@ -291,6 +291,8 @@ def _estimate_payload(args):
             raise CliError("--pi stratum needs a panel with a stratum column")
         strata = {}
         for label, m in conditional_estimand(panel, g).items():
+            if str(label) in strata:  # a row with no stratum (None) meets the stratum "None"
+                raise CliError("rows with no stratum and rows with the stratum 'None' clash")
             notes: list[str] = []
             label_regime = _reconcile(m, regime, args.auto_flip_sign, notes)
             caught += [f"stratum {label}: {w}" for w in notes]
@@ -645,10 +647,10 @@ def cmd_simulate(args) -> tuple[int, Iterable[str]]:
         raise CliError(
             f"--coverage-threshold must lie in [0, 1], got {args.coverage_threshold}"
         )
+    workers = resolve_workers(args.workers, os.cpu_count())
     if scenario == "benchmark":
         lams = _parse_float_list(args.lambda_grid, "--lambda-grid")
         grid = [DgpConfig(lam=l, **base) for l in lams]
-        workers = resolve_workers(args.workers, os.cpu_count())
         report = coverage_study(grid, args.pi, args.alpha, args.reps, workers=workers)
         config = {"scenario": scenario, "grid": [c.to_dict() for c in grid],
                   "pi": args.pi, "alpha": args.alpha, "reps": args.reps}

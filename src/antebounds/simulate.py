@@ -27,8 +27,8 @@ import numpy as np
 
 from .bounds import (
     SignRegime,
+    _contrast_means,
     _staggered_changes,
-    did_estimand,
     endpoint_scale_factors,
 )
 from .cic import CicData
@@ -400,31 +400,31 @@ class CoverageReport:
         }
 
 
-# Replications per block of the coverage engine.  Blocks are keyed by
-# replication index, so results do not depend on how blocks are spread
-# over workers; the size only bounds the (block, n) buffers.
+# Replications per block of the coverage engine and the identity check.
+# Blocks are keyed by replication index, so results do not depend on how
+# blocks are spread over workers; the size bounds the (block, n) buffers.
 REPLICATION_BLOCK = 32
 
 
-def _coverage_block(job) -> np.ndarray:
-    """(m_hat, se) of the DID contrast for replications start..stop-1, one
-    row each.
-
-    Each replication draws from its own derive_seed generator, exactly as
-    :func:`generate_two_period` would, and only its outcome changes and
-    treatment indicators are kept; the contrasts and their SEs (the
-    arithmetic of :func:`contrast_se`) are then computed for the whole
-    block at once.
-    """
-    cfg, start, stop = job
+def _block_changes(cfg: DgpConfig, start: int, stop: int, tau0, tau1=None):
+    """(dy, d) of replications start..stop-1, one row each: the outcome
+    changes and treatment indicators of :func:`_draw_two_period` with the
+    shifts ``tau0`` and ``tau1``, each from its own derive_seed generator."""
     dy = np.empty((stop - start, cfg.n))
     d = np.empty((stop - start, cfg.n), dtype=bool)
-    # an overflow leaves inf or nan in dy, which contrast_moments rejects
+    # an overflow leaves inf or nan in dy, which the contrast rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for row, rep in enumerate(range(start, stop)):
-            y0, y1, d[row] = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg, cfg.tau)
+            y0, y1, d[row] = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg, tau0, tau1)
             np.subtract(y1, y0, out=dy[row])
-    return np.column_stack(_contrast_and_se(dy, d))
+    return dy, d
+
+
+def _coverage_block(job) -> np.ndarray:
+    """(m_hat, se) of the replications start..stop-1 that :func:`generate_two_period`
+    would draw, one row each, with the arithmetic of :func:`contrast_se`."""
+    cfg, start, stop = job
+    return np.column_stack(_contrast_and_se(*_block_changes(cfg, start, stop, cfg.tau)))
 
 
 def _point_tables(
@@ -627,12 +627,11 @@ def post_treatment_identity_check(cfg: DgpConfig, reps: int) -> CheckReport:
     """Across replications, the mean contrast against mu - lam*(tau1-tau2)."""
     if reps < 2:
         raise ValueError("identity check needs at least 2 replications")
-    g = GTransform.identity()
-    m_hats = np.empty(reps)
-    with np.errstate(over="ignore"):
-        for rep in range(reps):
-            draw = _draw_two_period(_rng(derive_seed(cfg.seed, rep)), cfg, cfg.tau1, cfg.tau2)
-            m_hats[rep] = did_estimand(TwoPeriodPanel(range(cfg.n), *draw), g)
+    blocks = (
+        _block_changes(cfg, start, min(start + REPLICATION_BLOCK, reps), cfg.tau1, cfg.tau2)
+        for start in range(0, reps, REPLICATION_BLOCK)
+    )
+    m_hats = np.concatenate([_contrast_means(dy, d)[0] for dy, d in blocks])
     predicted = cfg.mu - cfg.lam * (cfg.tau1 - cfg.tau2)
     se = float(m_hats.std(ddof=1) / math.sqrt(reps))
     estimate = float(m_hats.mean())

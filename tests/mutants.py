@@ -164,6 +164,11 @@ MUTANTS = [
      "a toy unit whose threshold equals the signal level does not anticipate"),
     (SIMULATE, "np.subtract(y1, y0, out=dy[row])", "np.subtract(y0, y1, out=dy[row])",
      "the coverage engine's outcome changes are reversed"),
+    (SIMULATE, "min(start + REPLICATION_BLOCK, reps), cfg.tau1",
+     "start + REPLICATION_BLOCK, cfg.tau1",
+     "the identity check's last block draws past its replications"),
+    (SIMULATE, "reps), cfg.tau1, cfg.tau2)", "reps), cfg.tau2, cfg.tau1)",
+     "the identity check swaps the t=0 and t=1 shifts"),
     # the sensitivity sweep
     (BOUNDS, "r.cs_lower <= 0.0 <=", "r.cs_lower < 0.0 <=",
      "a confidence set whose lower end is zero does not contain it"),
@@ -178,6 +183,11 @@ MUTANTS = [
      "a midpoint rounded across a sample value keeps its unchecked rank"),
     (CIC, "if abs(residual(w)) <= tol:", "if True:",
      "the first in-segment candidate is returned unverified"),
+    # the one control map
+    (CIC, 'self.control_t0.values, y, side="right"', 'self.control_t0.values, y, side="left"',
+     "the control map counts the control values below y, not at or below it"),
+    (CIC, 'd_treated_t0.quantile(q), side="right"', 'd_treated_t0.quantile(q), side="left"',
+     "the counterfactual quantile counts the control values below Q10(q), not at or below it"),
 ]
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antebounds.bounds import SignRegime
 from antebounds.cic import (
@@ -109,6 +111,32 @@ class TestCounterfactualQuantile:
 
     def test_hand_example(self):
         assert counterfactual_quantile(0.5, HAND.treated_t0, HAND.control_t0, HAND.control_t1) == 4.0
+
+
+def _cdf_quantile_map(c0, c1, y):
+    """Q01(F00(y)) through the cdf and the quantile: -inf at level zero."""
+    p = c0.cdf(y)
+    return c1.quantile(p) if p > 0 else -math.inf
+
+
+# few distinct values, so the samples tie and share values with each other
+_TIED = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t0=_TIED, t1=_TIED, c0=_TIED, c1=_TIED)
+def test_control_map_table_is_the_cdf_quantile_route(t0, t1, c0, c1):
+    data = CicData.from_samples(t0, t1, c0, c1)
+    d_c0, d_c1 = data.control_t0, data.control_t1
+    below, above = d_c0.min - 1.0, d_c0.max + 1.0
+    for y in [below, d_c0.min - 0.5, *d_c0.values, *(d_c0.values + 0.5), above]:
+        want = _cdf_quantile_map(d_c0, d_c1, y)
+        assert data.control_map(y).hex() == want.hex(), y
+    for k in range(1, 24):
+        q = k / 24
+        want = _cdf_quantile_map(d_c0, d_c1, data.treated_t0.quantile(q))
+        got = counterfactual_quantile(q, data.treated_t0, d_c0, d_c1)
+        assert got.hex() == want.hex(), q
 
 
 def brute_counterfactual(q, t0, c0, c1):

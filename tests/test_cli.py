@@ -481,6 +481,16 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error: --workers")
 
+    @pytest.mark.parametrize(
+        "scenario", ["benchmark", "imperfect", "toy", "staggered", "identity"]
+    )
+    def test_workers_below_one_exit_2_in_every_scenario(self, capsys, scenario):
+        code, out, err = run(capsys, [
+            "simulate", "--scenario", scenario, "--n", "50", "--reps", "5", "--workers", "0",
+        ])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --workers")
+
     def test_group_too_small_exit_2(self, capsys):
         # n = 4 leaves some replication with fewer than two units in a group
         code, out, err = run(capsys, [
@@ -972,6 +982,35 @@ MIXED_STRATA = (
     "a,1,3,1,A\nb,1,3,1,A\nc,0,1,0,A\ne,0,1,0,A\ne2,0,1,0,A\n"
     "f,1,0,1,B\ng,1,0,1,B\nh,0,1,0,B\ni,0,1,0,B\n"
 )
+
+
+# a row with no stratum field has the label None; rows a-d are the stratum
+# "None" (contrast 0.8), rows e-h have none (contrast 2.25)
+NONE_CLASH = [
+    ("a", 1, 2, 1, "None"), ("b", 1, 1.5, 0, "None"), ("c", 1, 2.2, 1, "None"),
+    ("d", 1, 1.1, 0, "None"), ("e", 1, 3, 1), ("f", 1, 1, 0), ("g", 2, 4, 1), ("h", 1, 0.5, 0),
+]
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stratum_none_and_a_missing_stratum_clash(capsys, tmp_path, layout, fmt):
+    if layout == "wide":
+        lines = ["unit_id,y0,y1,d,stratum"] + [",".join(map(str, r)) for r in NONE_CLASH]
+    else:
+        lines = ["unit_id,t,y,d,stratum"] + [
+            ",".join(map(str, (uid, t, y, d, *rest)))
+            for uid, y0, y1, d, *rest in NONE_CLASH
+            for t, y in ((0, y0), (1, y1))
+        ]
+    path = tmp_path / "clash.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, [
+        "estimate", "--input", str(path), "--layout", layout, "--pi", "stratum",
+        "--format", fmt,
+    ])
+    assert (code, out) == (2, "")
+    assert "no stratum" in err and "'None'" in err
 
 
 class TestStratumFlags:

@@ -261,6 +261,21 @@ class TestPostTreatment:
         assert rep.passed
 
 
+@pytest.mark.parametrize("n", [97, 500, 1031])
+def test_identity_check_bits_equal_a_panel_per_replication(n):
+    """The block draws of the identity check are the post-treatment panels
+    of each replication's seed, whatever block a replication falls in."""
+    cfg = DgpConfig(n=n, mu=0.2, tau=0.0, lam=0.4, tau1=0.3, tau2=-0.1, seed=n)
+    reps = 2 * REPLICATION_BLOCK + 3
+    m_hats = np.array([
+        did_estimand(generate_post_treatment(replace(cfg, seed=derive_seed(cfg.seed, r))), IDY)
+        for r in range(reps)
+    ])
+    rep = post_treatment_identity_check(cfg, reps)
+    assert rep.estimate.hex() == float(m_hats.mean()).hex()
+    assert rep.se.hex() == float(m_hats.std(ddof=1) / math.sqrt(reps)).hex()
+
+
 class TestCoverageEngine:
     def test_rejects_untagged_violation(self):
         bad = DgpConfig(n=200, mu=1.0, tau=-0.5, lam=0.6, seed=1)

@@ -95,21 +95,6 @@ class EmpiricalDistribution:
         return self.values[np.minimum(k, n) - 1]
 
 
-def _control_map_table(
-    control_t0: EmpiricalDistribution, control_t1: EmpiricalDistribution
-) -> tuple[np.ndarray, np.ndarray]:
-    """The control map Q01(F00(y)) by rank: ``(v, h)``.
-
-    ``h[r] = Q01(r/n0)`` is the map at any y with r control pre-period
-    values at or below it, and ``h[0] = -inf``.  ``v`` is the sorted sample
-    padded with -inf and +inf, so that rank r means ``v[r] <= y < v[r + 1]``.
-    """
-    n0 = control_t0.n
-    v = np.concatenate(([-np.inf], control_t0.values, [np.inf]))
-    h = control_t1.quantile_vec(np.arange(1, n0 + 1) / n0)
-    return v, np.concatenate(([-np.inf], h))
-
-
 @dataclass(frozen=True)
 class CicData:
     """The four observed samples: (group, period) = (treated/control, 0/1)."""
@@ -154,9 +139,16 @@ class CicData:
 
     @cached_property
     def control_map_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_control_map_table` of the control samples, built on first
-        use."""
-        return _control_map_table(self.control_t0, self.control_t1)
+        """The control map Q01(F00(y)) by rank: ``(v, h)``, built on first use.
+
+        ``h[r] = Q01(r/n0)`` is the map at any y with r control pre-period
+        values at or below it, and ``h[0] = -inf``.  ``v`` is the sorted sample
+        padded with -inf and +inf, so that rank r means ``v[r] <= y < v[r + 1]``.
+        """
+        n0 = self.control_t0.n
+        v = np.concatenate(([-np.inf], self.control_t0.values, [np.inf]))
+        h = self.control_t1.quantile_vec(np.arange(1, n0 + 1) / n0)
+        return v, np.concatenate(([-np.inf], h))
 
 
 def counterfactual_quantile(
@@ -166,10 +158,12 @@ def counterfactual_quantile(
     d_control_t1: EmpiricalDistribution,
 ) -> float:
     """q-th quantile of the counterfactual untreated outcome for the
-    treated group: Q01(F00(Q10(q)))."""
+    treated group: Q01(F00(Q10(q))), by the rule h[r] = Q01(r/n0) of
+    :attr:`CicData.control_map_table` at its one rank r (``cdf`` rounds r/n0
+    as the table does, so the bits are those of h[r])."""
     _check_q(q)
-    _, h = _control_map_table(d_control_t0, d_control_t1)
-    return float(h[np.searchsorted(d_control_t0.values, d_treated_t0.quantile(q), side="right")])
+    p = d_control_t0.cdf(d_treated_t0.quantile(q))
+    return d_control_t1.quantile(p) if p > 0.0 else -math.inf
 
 
 def _shifted_composition(q: float, shift: float, data: CicData) -> float:
@@ -214,7 +208,8 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     is exactly linear with slope -1 in x and the in-segment root is solved
     in closed form.  Segments are scanned outward from zero over the
     sign-matching half of [-B, B], B the pooled data range; the first
-    verified root wins.  Returns None when no sign-matching root exists.
+    verified root wins.  Returns None when no sign-matching root exists,
+    and raises a ValueError when B overflows float64.
 
     The breakpoints come from the sorted control sample, so they are
     already monotone and need no sort.  A segment's control map is
@@ -232,6 +227,8 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     a_q = data.treated_t1.quantile(q)
     u0 = data.treated_t0.quantile(q)
     big = data.data_range
+    if not math.isfinite(big):
+        raise ValueError("the pooled data range overflows float64; rescale the outcomes")
     # Substitute x = sign_mu * w with w >= 0; the inner argument becomes
     # u0 + c*w and the residual a_q - comp(u0 + c*w) - sign_mu*w.
     c = (-1.0 if side == "upper" else 1.0) * sign_mu

@@ -400,6 +400,8 @@ def _infer_payload(args):
     regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
     interval, cs = summary_mode_infer(m_hat, se_m, pi, args.epsilon, regime, args.alpha)
     t_tilde = m_hat / se_m
+    if not math.isfinite(t_tilde):
+        raise CliError("m_hat / se overflows; the standard error is too small")
     verdict = None
     if regime.s == -1:
         verdict = robust_null_check(t_tilde, args.alpha, regime)
@@ -557,7 +559,7 @@ def cmd_cic(args) -> tuple[int, Iterable[str]]:
         rows.append(
             {
                 "q": q,
-                "m_q": res.m_q,
+                "m_q": _jsonable(res.m_q),
                 "phi_u": res.phi_u,
                 "phi_l": res.phi_l,
                 "phi_tilde_u": _jsonable(res.phi_tilde_u),

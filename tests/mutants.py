@@ -186,8 +186,18 @@ MUTANTS = [
     # the one control map
     (CIC, 'self.control_t0.values, y, side="right"', 'self.control_t0.values, y, side="left"',
      "the control map counts the control values below y, not at or below it"),
-    (CIC, 'd_treated_t0.quantile(q), side="right"', 'd_treated_t0.quantile(q), side="left"',
-     "the counterfactual quantile counts the control values below Q10(q), not at or below it"),
+    (CIC, 'idx = np.searchsorted(self.values, y, side="right")',
+     'idx = np.searchsorted(self.values, y, side="left")',
+     "the cdf counts the values below y, not at or below it"),
+    (CIC, "if p > 0.0 else -math.inf", "if p >= 0.0 else -math.inf",
+     "the counterfactual quantile reads Q01 at level zero, not -inf"),
+    # the overflow checks of the cic and infer reports
+    (CIC, "    if not math.isfinite(big):\n", "    if False:\n",
+     "an overflowing pooled data range makes every root tolerance inf"),
+    (CLI, '"m_q": _jsonable(res.m_q),', '"m_q": res.m_q,',
+     "an unbounded m(q) is written as the non-standard JSON constant Infinity"),
+    (CLI, "    if not math.isfinite(t_tilde):\n", "    if False:\n",
+     "an overflowing t-statistic is written as Infinity"),
 ]
 
 

@@ -112,6 +112,13 @@ class TestCounterfactualQuantile:
     def test_hand_example(self):
         assert counterfactual_quantile(0.5, HAND.treated_t0, HAND.control_t0, HAND.control_t1) == 4.0
 
+    def test_builds_no_control_map_table(self, monkeypatch):
+        def no_table(self, q):
+            raise AssertionError("counterfactual_quantile built a control-map table")
+
+        monkeypatch.setattr(EmpiricalDistribution, "quantile_vec", no_table)
+        assert counterfactual_quantile(0.5, HAND.treated_t0, HAND.control_t0, HAND.control_t1) == 4.0
+
 
 def _cdf_quantile_map(c0, c1, y):
     """Q01(F00(y)) through the cdf and the quantile: -inf at level zero."""
@@ -248,6 +255,13 @@ class TestSolvePhi:
             control_t1=[0.2, 0.6, 1.0],
         )
         assert solve_phi(0.5, "upper", 1, data) is None
+
+    def test_an_overflowing_data_range_is_named(self):
+        # max - min is inf, so a tolerance scaled by it would accept w = 0
+        data = CicData.from_samples([-1e308, 0.0], [1e308, 1.0], [-1e308, 1e308], [0.0, 1.0])
+        for side in ("upper", "lower"):
+            with pytest.raises(ValueError, match="data range overflows float64"):
+                solve_phi(0.5, side, 1, data)
 
     def test_side_and_sign_validation(self):
         with pytest.raises(ValueError):

@@ -390,6 +390,34 @@ class TestCic:
         assert widths[0] >= widths[1] >= widths[2]
         assert widths[2] == 0.0  # pi = 0 collapses to the point contrast
 
+    def test_unbounded_contrast_is_a_json_string(self, capsys, tmp_path):
+        # every treated pre-period value lies below the controls', so the
+        # control map is -inf there and m(q) is +inf
+        path = tmp_path / "below.csv"
+        path.write_text(
+            "unit_id,t,y,d\nt1,0,-5,1\nt1,1,-5,1\nt2,0,-4,1\nt2,1,-3,1\n"
+            "c1,0,0,0\nc1,1,0.5,0\nc2,0,1,0\nc2,1,2,0\n"
+        )
+        code, out, _ = run(capsys, [
+            "cic", "--input", str(path), "--q", "0.25", "--pi", "0.3", "--format", "json",
+        ])
+        assert code == 0 and "Infinity" not in out
+        row = json.loads(out)["results"]["rows"][0]
+        assert (row["m_q"], row["set_l"]) == ("unbounded", "unbounded")
+
+    def test_overflowing_data_range_exit_2(self, capsys, tmp_path):
+        # max - min overflows float64, which would make every root tolerance inf
+        path = tmp_path / "range.csv"
+        path.write_text(
+            "unit_id,t,y,d\nt1,0,-1e308,1\nt1,1,1e308,1\nt2,0,0,1\nt2,1,1,1\n"
+            "c1,0,-1e308,0\nc1,1,0,0\nc2,0,1e308,0\nc2,1,1,0\n"
+        )
+        code, out, err = run(capsys, [
+            "cic", "--input", str(path), "--q", "0.25,0.5", "--pi", "0.3", "--format", "json",
+        ])
+        assert (code, out) == (2, "")
+        assert err == "error: the pooled data range overflows float64; rescale the outcomes\n"
+
 
 class TestSimulate:
     def test_identity_scenario_deterministic_bytes(self, capsys):
@@ -646,6 +674,16 @@ class TestExitContract:
         assert "Infinity" not in out and "NaN" not in out
         assert err == f"error: --summary {bad.split('=')[0]} must be finite, got {bad.split('=')[1]!r}\n"
 
+    @pytest.mark.parametrize("pi,sign_tau", [("const:0.3", "zero"), ("const:0", "pos"),
+                                             ("const:0", "neg")])
+    def test_overflowing_t_statistic_exit_2(self, capsys, pi, sign_tau):
+        # a zero-width interval needs no C_n ratio, but m_hat / se overflows
+        code, out, err = run(capsys, [
+            "infer", "--summary", "m=1e308", "se=1e-10", "--pi", pi, "--sign-tau", sign_tau,
+            "--format", "json",
+        ])
+        assert (code, out) == (2, "")
+        assert err == "error: m_hat / se overflows; the standard error is too small\n"
 
     HUGE_ARGV = [
         ["estimate", "--pi", "const:0.3"],

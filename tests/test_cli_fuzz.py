@@ -393,3 +393,53 @@ def test_panel_flag_values_keep_the_exit_contract(command, flag):
         else:
             interval = results["interval"]
             assert interval["lower"] <= interval["upper"], argv
+
+
+# ``infer``, ``sensitivity --summary`` and ``cic`` at joint extremes: a
+# contrast far larger or smaller than its standard error, an interval of
+# zero width (pi 0 or a known-zero anticipatory effect), and treated
+# outcomes below, among or above the controls', or at the ends of float64.
+EXTREME_M = ["1e308", "-1e308", "1", "1e-320"]
+EXTREME_SE = ["1e-300", "1e-10", "1"]
+TREATED_LEVELS = {
+    "below": [-6.0, -5.0, -4.0],
+    "inside": [0.0, 0.5, 1.0, 2.0],  # the control levels too
+    "above": [4.0, 5.0, 6.0],
+    "huge": [-1e308, 0.0, 1e308],
+}
+
+
+@st.composite
+def extreme_invocations(draw) -> tuple[str, list[str]]:
+    """(CSV text or '', argv) for one of the three commands."""
+    command = draw(st.sampled_from(["infer", "sensitivity", "cic"]))
+    pi = draw(st.sampled_from(["0", "0.3"]))
+    signs = ["--sign-mu", draw(st.sampled_from(["pos", "neg"])),
+             "--sign-tau", draw(st.sampled_from(["zero", "pos", "neg"]))]
+    if command != "cic":
+        summary = ["--summary", f"m={draw(st.sampled_from(EXTREME_M))}",
+                   f"se={draw(st.sampled_from(EXTREME_SE))}"]
+        grid = ["--pi", f"const:{pi}"] if command == "infer" else ["--pi-grid", pi]
+        return "", [command, *summary, *grid, *signs, "--format", "json"]
+    levels = TREATED_LEVELS[draw(st.sampled_from(sorted(TREATED_LEVELS)))]
+    rows = ["unit_id,t,y,d"]
+    for group, d, values in (("t", 1, levels), ("c", 0, TREATED_LEVELS["inside"])):
+        for i in range(draw(st.integers(1, 3))):
+            for t in (0, 1):
+                rows.append(f"{group}{i},{t},{draw(st.sampled_from(values))!r},{d}")
+    argv = ["cic", "--input", "{csv}", "--q", "0.25,0.5,0.75", "--pi", pi, *signs,
+            "--format", "json"]
+    return "\n".join(rows) + "\n", argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(extreme_invocations())
+def test_joint_extremes_keep_the_exit_contract(csv_path, invocation):
+    csv_text, argv = invocation
+    if csv_text:
+        csv_path.write_text(csv_text, encoding="utf-8")
+    code, report = _run_in_contract([str(csv_path) if a == "{csv}" else a for a in argv])
+    assert code in (0, 2), argv
+    if report is not None and argv[0] == "cic":
+        for row in report["results"]["rows"]:
+            assert row["m_q"] == "unbounded" or isinstance(row["m_q"], float), (argv, row)

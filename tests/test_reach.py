@@ -42,9 +42,6 @@ ALLOWED = {
     "panel.PanelFormatError.__init__": "raised only on malformed input",
     "bounds.IdentifiedInterval.as_tuple": "public API, used in the README's example",
     "inference.ConfidenceSet.as_tuple": "public API, used in the README's example",
-    "cic.EmpiricalDistribution.cdf": (
-        "public API, and the tests' reference for the control map, which reads its table"
-    ),
     "panel.group_stats": _ORACLE,
     "panel.GroupStats.n": _ORACLE,
     "panel.GroupStats.p_hat": _ORACLE,

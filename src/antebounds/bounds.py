@@ -8,7 +8,9 @@ closed interval with the DID contrast at one end and a ratio-scaled copy
 of it at the other.  This module computes those intervals for the
 benchmark two-period design, for imperfect anticipation (anticipators may
 guess wrong at rate epsilon), for staggered multi-period adoption, and
-stratum by stratum.
+stratum by stratum.  The benchmark set is the imperfect-anticipation set
+at epsilon = 0, so :func:`identified_set_imperfect` builds both, from the
+scale factors of :func:`endpoint_scale_factors`.
 """
 
 from __future__ import annotations
@@ -152,64 +154,49 @@ def endpoint_scale_factors(
 
     Imperfect anticipation with error rate epsilon: (1/(1 + s*pi*eps),
     1/(1 - s*pi*(1-eps))).  The benchmark (epsilon None) is epsilon = 0,
-    where the pair is (1, 1/(1 - s*pi)) to the bit.
+    where the pair is (1, 1/(1 - s*pi)) to the bit.  With pi in [0, 1) and
+    epsilon in [0, 1], both denominators are at least 1 - pi > 0 in floating
+    point, so both factors are finite and positive.
     """
     _check_pi(pi)
     s = regime.s
     epsilon = 0.0 if epsilon is None else epsilon
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    den1 = 1.0 + s * pi * epsilon
-    den2 = 1.0 - s * pi * (1.0 - epsilon)
-    if den1 <= 0.0 or den2 <= 0.0:
-        raise ValueError(
-            f"unbounded identified set: nonpositive denominator (pi={pi}, epsilon={epsilon})"
-        )
-    return (1.0 / den1, 1.0 / den2)
+    return (1.0 / (1.0 + s * pi * epsilon), 1.0 / (1.0 - s * pi * (1.0 - epsilon)))
 
 
 def identified_set_benchmark(m: float, pi: float, regime: SignRegime) -> IdentifiedInterval:
-    """Benchmark interval m * [min(1, 1/(1-s*pi)), max(1, 1/(1-s*pi))].
+    """Benchmark interval m * [min(1, 1/(1-s*pi)), max(1, 1/(1-s*pi))]:
+    :func:`identified_set_imperfect` with no epsilon.
 
     One endpoint is the DID contrast itself; with s = 0 the set degenerates
     to the point m because a known-zero anticipatory (or treatment) effect
     leaves the contrast unbiased.
     """
-    fa, fb = endpoint_scale_factors(pi, regime)
-    lo, hi = sorted((m * fa, m * fb))
-    return IdentifiedInterval(
-        lower=lo, upper=hi, theorem_tag="benchmark", pi_used=pi, regime=regime
-    )
+    return identified_set_imperfect(m, pi, None, regime)
 
 
 def identified_set_imperfect(
-    m: float, pi: float, epsilon: float, regime: SignRegime
+    m: float, pi: float, epsilon: float | None, regime: SignRegime
 ) -> IdentifiedInterval:
     """Interval when anticipators in either group may guess wrong.
 
     Endpoints are m/(1 + s*pi*eps) and m/(1 - s*pi*(1-eps)); neither is the
     DID contrast itself unless eps is 0 or 1, because pre-period distortion
-    now occurs in both groups.
+    now occurs in both groups.  ``epsilon`` None gives the benchmark set
+    (eps = 0, tagged ``"benchmark"``, with no ``epsilon_used``).
     """
-    f1, f2 = endpoint_scale_factors(pi, regime, epsilon)
-    lo, hi = sorted((m * f1, m * f2))
+    fa, fb = endpoint_scale_factors(pi, regime, epsilon)
+    lo, hi = sorted((m * fa, m * fb))
     return IdentifiedInterval(
         lower=lo,
         upper=hi,
-        theorem_tag="imperfect",
+        theorem_tag="benchmark" if epsilon is None else "imperfect",
         pi_used=pi,
         regime=regime,
         epsilon_used=epsilon,
     )
-
-
-def _identified_set(
-    m: float, pi: float, epsilon: float | None, regime: SignRegime
-) -> IdentifiedInterval:
-    """The benchmark set if epsilon is None, else the imperfect-anticipation set."""
-    if epsilon is None:
-        return identified_set_benchmark(m, pi, regime)
-    return identified_set_imperfect(m, pi, epsilon, regime)
 
 
 def staggered_estimand(

@@ -232,13 +232,16 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     # Substitute x = sign_mu * w with w >= 0; the inner argument becomes
     # u0 + c*w and the residual a_q - comp(u0 + c*w) - sign_mu*w.
     c = (-1.0 if side == "upper" else 1.0) * sign_mu
-    scale = max(1.0, abs(a_q), big)
-    tol = 1e-9 * scale
+    # Rounding moves the residual at w by ulps of a_q, of w and of the map
+    # value (at most |a_q| + w where the residual is small): the tolerance
+    # scales with those, not with the pooled range or u0, which one outlier
+    # can set.
+    scale = max(1.0, abs(a_q))
 
-    def residual(w: float) -> float:
-        return a_q - data.control_map(u0 + c * w) - sign_mu * w
+    def is_root(w: float) -> bool:
+        return abs(a_q - data.control_map(u0 + c * w) - sign_mu * w) <= 1e-9 * max(scale, w)
 
-    if abs(residual(0.0)) <= tol:
+    if is_root(0.0):
         return 0.0
 
     values = data.control_t0.values
@@ -267,10 +270,11 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     if off.any():
         rank[off] = np.searchsorted(values, y[off], side="right")
     w_cand = sign_mu * (a_q - h[rank])  # root of the in-segment linear residual
+    tol = 1e-9 * np.maximum(scale, np.abs(w_cand))
     ok = np.isfinite(w_cand) & (w_cand >= seg_lo - tol) & (w_cand <= seg_hi + tol)
     for i in np.flatnonzero(ok):  # segments are ordered outward from zero
         w = float(np.clip(w_cand[i], 0.0, big))
-        if abs(residual(w)) <= tol:
+        if is_root(w):
             return sign_mu * w
     return None
 

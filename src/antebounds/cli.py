@@ -28,9 +28,9 @@ from . import __version__
 from .bounds import (
     SignRegime,
     _check_pi,
-    _identified_set,
     conditional_estimand,
     did_estimand,
+    identified_set_imperfect,
     reconcile_regime,
     robustness_cutoff,
     sensitivity_sweep,
@@ -231,8 +231,6 @@ def _fmt(x, nd: int = 6) -> str:
         return "absent"
     if isinstance(x, str):
         return x
-    if isinstance(x, float) and math.isinf(x):
-        return "unbounded"
     return f"{x:.{nd}g}"
 
 
@@ -296,7 +294,9 @@ def _estimate_payload(args):
             notes: list[str] = []
             label_regime = _reconcile(m, regime, args.auto_flip_sign, notes)
             caught += [f"stratum {label}: {w}" for w in notes]
-            interval = _identified_set(m, treatment_ratio(panel, label), args.epsilon, label_regime)
+            interval = identified_set_imperfect(
+                m, treatment_ratio(panel, label), args.epsilon, label_regime
+            )
             strata[str(label)] = {
                 "m_hat": m,
                 "pi": interval.pi_used,
@@ -311,7 +311,7 @@ def _estimate_payload(args):
         pi_policy = f"constant({pi})"
     m_hat = did_estimand(panel, g)
     regime = _reconcile(m_hat, regime, args.auto_flip_sign, caught)
-    interval = _identified_set(m_hat, pi, args.epsilon, regime)
+    interval = identified_set_imperfect(m_hat, pi, args.epsilon, regime)
     results = {
         "m_hat": m_hat,
         "pi_policy": pi_policy,

@@ -17,7 +17,10 @@ confidence set, for one contrast (:func:`confidence_set`, hence
 coverage engine).  Panel data supply both from one pass over the unit
 changes g(y1) - g(y0): :func:`contrast_moments` adds the variance to
 ``bounds._contrast_means``, the one arithmetic of every DID contrast.
-Published tables need no micro-data.
+Published tables need no micro-data.  The identified set itself is
+``bounds.identified_set_imperfect``, and the gaps that C_n and t* solve
+both evaluate ``numerics.std_normal_cdf``, the one normal CDF, on arrays
+and on floats.
 """
 
 from __future__ import annotations
@@ -31,15 +34,14 @@ from .bounds import (
     IdentifiedInterval,
     SignRegime,
     _contrast_means,
-    _identified_set,
     endpoint_scale_factors,
+    identified_set_imperfect,
 )
 from .numerics import (
     Bracket,
     solve_monotone,
     solve_monotone_elementwise,
     std_normal_cdf,
-    std_normal_cdf_array,
     std_normal_quantile,
 )
 from .panel import GTransform, TwoPeriodPanel
@@ -211,7 +213,7 @@ def critical_value_cn(delta_hat, se, alpha: float):
     hi = std_normal_quantile((1.0 + alpha) / 2.0) + 0.1
 
     def gap(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return std_normal_cdf_array(c + r) - std_normal_cdf_array(-c) - alpha
+        return std_normal_cdf(c + r) - std_normal_cdf(-c) - alpha
 
     roots = solve_monotone_elementwise(gap, Bracket(lo, hi, tol=1e-10), ratio.ravel())
     return float(roots[0]) if ratio.ndim == 0 else roots.reshape(ratio.shape)
@@ -301,7 +303,7 @@ def summary_mode_infer(
     given.  The confidence set carries these standard errors.
     """
     _check_contrast(m_hat, se)
-    interval = _identified_set(m_hat, pi, epsilon, regime)
+    interval = identified_set_imperfect(m_hat, pi, epsilon, regime)
     fa, fb = endpoint_scale_factors(pi, regime, epsilon)
     return interval, confidence_set(m_hat, se, fa, fb, alpha)
 

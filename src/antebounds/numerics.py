@@ -1,7 +1,8 @@
 """Normal CDF/quantile and bracketed monotone root solving.
 
 The standard-normal CDF and quantile come from the standard library
-(``math.erfc`` and ``statistics.NormalDist``).  Root solving is plain
+(``math.erfc`` and ``statistics.NormalDist``); :func:`std_normal_cdf` is the
+one CDF, for a float or for every element of an array.  Root solving is plain
 bisection: every target this package solves for (critical values, quantile
 fixed points) is monotone but at best piecewise smooth, and bisection is
 robust and reproducible there.  There is one bisection loop,
@@ -22,7 +23,6 @@ __all__ = [
     "Bracket",
     "NoRootInBracketError",
     "std_normal_cdf",
-    "std_normal_cdf_array",
     "std_normal_quantile",
     "solve_monotone",
     "solve_monotone_elementwise",
@@ -52,28 +52,26 @@ _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, 0.5 * erfc(-x / sqrt 2).
+def std_normal_cdf(x):
+    """Standard normal CDF, 0.5 * erfc(-x / sqrt 2), of a float or of each
+    element of an array.
+
+    ``math.erfc`` runs once per element, so an array element has the bits
+    of the same value passed alone.  A scalar (0-d) input gives a float,
+    an array gives an array of its shape.
 
     Parameters
     ----------
-    x : float
-        Evaluation point; must be finite.
+    x : float or array_like
+        Evaluation points; every one must be finite.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"std_normal_cdf requires finite input, got {x}")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """:func:`std_normal_cdf` of each element of a finite 1-D array.
-
-    ``math.erfc`` runs on every element, so each value has the bits of the
-    scalar function; the caller guarantees finite input.
-    """
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"std_normal_cdf requires finite input, got {x[~finite].flat[0]}")
     t = -x / _SQRT2
-    return 0.5 * np.fromiter(map(math.erfc, t.tolist()), float, t.size)
+    out = 0.5 * np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def std_normal_quantile(p: float) -> float:

@@ -32,6 +32,7 @@ BOUNDS = "src/antebounds/bounds.py"
 INFERENCE = "src/antebounds/inference.py"
 CLI = "src/antebounds/cli.py"
 SIMULATE = "src/antebounds/simulate.py"
+NUMERICS = "src/antebounds/numerics.py"
 TESTS = [
     "tests/test_panel.py",
     "tests/test_loader_oracle.py",
@@ -43,6 +44,8 @@ TESTS = [
     "tests/test_cli.py",
     "tests/test_simulate.py",
     "tests/test_phi_oracle.py",
+    "tests/test_numerics.py",
+    "tests/test_sets_oracle.py",
 ]
 SEED = "20260808"
 
@@ -136,7 +139,7 @@ MUTANTS = [
     (BOUNDS, "rows = cohort | panel.cohort_mask(math.inf)", "rows = cohort | ~cohort",
      "a staggered contrast compares against every other unit, not the never-treated"),
     # the interval, the confidence set and the CLI's exit routing
-    (BOUNDS, "den1 = 1.0 + s * pi * epsilon", "den1 = 1.0 - s * pi * epsilon",
+    (BOUNDS, "1.0 / (1.0 + s * pi * epsilon)", "1.0 / (1.0 - s * pi * epsilon)",
      "the imperfect-anticipation factor takes the wrong sign"),
     (BOUNDS, "if not (0.0 <= pi < 1.0):", "if not (0.0 <= pi <= 1.0):",
      "pi = 1, an unbounded set, passes the check"),
@@ -181,7 +184,7 @@ MUTANTS = [
      "a candidate root just across zero keeps the wrong sign"),
     (CIC, "    if off.any():\n", "    if False:\n",
      "a midpoint rounded across a sample value keeps its unchecked rank"),
-    (CIC, "if abs(residual(w)) <= tol:", "if True:",
+    (CIC, "if is_root(w):", "if True:",
      "the first in-segment candidate is returned unverified"),
     # the one control map
     (CIC, 'self.control_t0.values, y, side="right"', 'self.control_t0.values, y, side="left"',
@@ -193,11 +196,21 @@ MUTANTS = [
      "the counterfactual quantile reads Q01 at level zero, not -inf"),
     # the overflow checks of the cic and infer reports
     (CIC, "    if not math.isfinite(big):\n", "    if False:\n",
-     "an overflowing pooled data range makes every root tolerance inf"),
+     "an overflowing pooled data range is scanned, with overflowing cut points"),
     (CLI, '"m_q": _jsonable(res.m_q),', '"m_q": res.m_q,',
      "an unbounded m(q) is written as the non-standard JSON constant Infinity"),
     (CLI, "    if not math.isfinite(t_tilde):\n", "    if False:\n",
      "an overflowing t-statistic is written as Infinity"),
+    # the one identified set, the one normal CDF and the root tolerance
+    (BOUNDS, 'theorem_tag="benchmark" if epsilon is None else "imperfect"',
+     'theorem_tag="imperfect" if epsilon is None else "benchmark"',
+     "the benchmark and imperfect-anticipation sets swap their tags"),
+    (NUMERICS, "    if not finite.all():\n", "    if False:\n",
+     "a non-finite normal-CDF argument passes"),
+    (CIC, "scale = max(1.0, abs(a_q))", "scale = max(1.0, abs(a_q), big)",
+     "the root tolerance scales with the pooled data range, so one outlier widens it"),
+    (CIC, "scale = max(1.0, abs(a_q))", "scale = max(1.0, abs(a_q), abs(u0))",
+     "the root tolerance scales with Q10(q), which one outlier can set"),
 ]
 
 

@@ -34,13 +34,12 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     u0 = data.treated_t0.quantile(q)
     big = data.data_range
     c = (-1.0 if side == "upper" else 1.0) * sign_mu
-    scale = max(1.0, abs(a_q), big)
-    tol = 1e-9 * scale
+    scale = max(1.0, abs(a_q))
 
-    def residual(w: float) -> float:
-        return a_q - data.control_map(u0 + c * w) - sign_mu * w
+    def is_root(w: float) -> bool:
+        return abs(a_q - data.control_map(u0 + c * w) - sign_mu * w) <= 1e-9 * max(scale, w)
 
-    if abs(residual(0.0)) <= tol:
+    if is_root(0.0):
         return 0.0
     if big == 0.0:
         return None
@@ -53,9 +52,10 @@ def solve_phi(q: float, side: str, sign_mu: int, data: CicData) -> float | None:
     h = _control_map_vec(data, u0 + c * mids)
     with np.errstate(invalid="ignore"):
         w_cand = sign_mu * (a_q - h)
+    tol = 1e-9 * np.maximum(scale, np.abs(w_cand))
     ok = np.isfinite(w_cand) & (w_cand >= seg_lo - tol) & (w_cand <= seg_hi + tol)
     for i in np.flatnonzero(ok):
         w = float(np.clip(w_cand[i], 0.0, big))
-        if abs(residual(w)) <= tol:
+        if is_root(w):
             return sign_mu * w
     return None

@@ -7,12 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from antebounds.bounds import (
     SignRegime,
     SweepRow,
     conditional_estimand,
     did_estimand,
+    endpoint_scale_factors,
     identified_set_benchmark,
     identified_set_imperfect,
     reconcile_regime,
@@ -167,6 +170,14 @@ class TestImperfectSet:
         assert a.lower == pytest.approx(b.lower, abs=1e-12)
         assert a.upper == pytest.approx(b.upper, abs=1e-12)
 
+    @pytest.mark.parametrize("regime", [SAME, OPP, SignRegime(-1, 0)])
+    def test_no_epsilon_is_the_benchmark_set(self, regime):
+        for m, pi in ((1.0, 0.5), (-0.37, 0.0), (0.009, 1.0 - 2.0**-53)):
+            a = identified_set_imperfect(m, pi, None, regime)
+            b = identified_set_benchmark(m, pi, regime)
+            assert a == b and a.theorem_tag == "benchmark" and a.epsilon_used is None
+            assert (a.lower.hex(), a.upper.hex()) == (b.lower.hex(), b.upper.hex())
+
     def test_half_epsilon(self):
         iv = identified_set_imperfect(1.0, 0.5, 0.5, SAME)
         assert iv.lower == pytest.approx(0.8)
@@ -194,6 +205,22 @@ class TestImperfectSet:
             mu2 = m / (1 - s * pi * (1 - eps))
             assert iv.lower == pytest.approx(min(mu1, mu2), abs=1e-12)
             assert iv.upper == pytest.approx(max(mu1, mu2), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    st.sampled_from([-1, 0, 1]),
+)
+@example(1.0 - 2.0**-53, 0.0, 1)
+@example(1.0 - 2.0**-53, 1.0, -1)
+@example(1.0 - 2.0**-53, None, 1)
+@example(1.0 - 2.0**-53, 2.0**-53, 1)
+def test_scale_factors_are_finite_and_positive(pi, eps, s):
+    # pi in [0, 1) and eps in [0, 1] keep both denominators at least 1 - pi
+    for factor in endpoint_scale_factors(pi, SignRegime(1, s), eps):
+        assert math.isfinite(factor) and factor > 0.0
 
 
 def toy_cohort_panel():

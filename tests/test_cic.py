@@ -225,7 +225,7 @@ class TestSolvePhi:
     def test_a_small_residual_at_zero_is_not_a_root(self):
         # the treated post-period sits 1e-7 above the other three samples,
         # so the residual at x = 0 is 1e-7: above the 1e-9 * scale
-        # tolerance (scale 9 here), though under a 1e-6 * scale one
+        # tolerance (scale about 4 here), though under a 1e-6 * scale one
         base = np.arange(10.0)
         data = CicData.from_samples(base, base + 1e-7, base, base)
         m = cic_m(0.5, data)
@@ -257,11 +257,47 @@ class TestSolvePhi:
         assert solve_phi(0.5, "upper", 1, data) is None
 
     def test_an_overflowing_data_range_is_named(self):
-        # max - min is inf, so a tolerance scaled by it would accept w = 0
+        # max - min is inf, and the cut points of the scan would overflow
         data = CicData.from_samples([-1e308, 0.0], [1e308, 1.0], [-1e308, 1e308], [0.0, 1.0])
         for side in ("upper", "lower"):
             with pytest.raises(ValueError, match="data range overflows float64"):
                 solve_phi(0.5, side, 1, data)
+
+    @pytest.mark.parametrize("sample", ["control_t0", "control_t1"])
+    def test_one_outlier_leaves_the_tolerance_alone(self, sample):
+        # one control value at 1e300 makes the pooled range 1e300; a
+        # tolerance scaled by it (1e291) took w = 0 as the root at every
+        # level, though the residual there is m(q), of order 0.01
+        rng = np.random.default_rng(28)
+        names = ("treated_t0", "treated_t1", "control_t0", "control_t1")
+        samples = {name: rng.uniform(0, 1, 200) for name in names}
+        clean = CicData.from_samples(**samples)
+        samples[sample] = np.append(samples[sample], 1e300)
+        data = CicData.from_samples(**samples)
+        assert data.data_range == 1e300
+        for q in (0.25, 0.5, 0.75):
+            assert abs(cic_m(q, data)) > 0.01
+            a_q, u0 = data.treated_t1.quantile(q), data.treated_t0.quantile(q)
+            for side, c in (("upper", -1.0), ("lower", 1.0)):
+                for sign_mu in (1, -1):
+                    root = solve_phi(q, side, sign_mu, data)
+                    if sample == "control_t0":
+                        # Q01(k/201) = Q01(k/200) for k <= 200, so the control
+                        # map below 1e300 and the roots are the clean data's
+                        assert root == solve_phi(q, side, sign_mu, clean)
+                    if root is not None:
+                        assert root != 0.0
+                        assert abs(a_q - data.control_map(u0 + c * root) - root) <= 1e-9
+
+    def test_an_outlier_at_the_treated_pre_period_quantile_leaves_the_tolerance_alone(self):
+        # Q10(0.5) is the outlier -1e300, so a tolerance scaled by |Q10(q)|
+        # (or by the pooled range) takes w = 0 on every side, where the
+        # residual is m(q) = -0.3
+        data = CicData.from_samples([-1e300, 0.0], [0.0, 1.0], [-1e300, 0.5], [0.3, 2.0])
+        assert cic_m(0.5, data) == -0.3
+        got = [solve_phi(0.5, side, sign_mu, data)
+               for side in ("upper", "lower") for sign_mu in (1, -1)]
+        assert got == [None, -0.3, None, None]
 
     def test_side_and_sign_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from antebounds.numerics import (
     solve_monotone,
     solve_monotone_elementwise,
     std_normal_cdf,
-    std_normal_cdf_array,
     std_normal_quantile,
 )
 
@@ -80,8 +79,10 @@ class TestStdNormalCdf:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            std_normal_cdf(bad)
+        # alone, or as one element of an array
+        for x in (bad, np.array([0.0, bad, 1.0]), np.array([[0.0], [bad]])):
+            with pytest.raises(ValueError, match="requires finite input"):
+                std_normal_cdf(x)
 
 
 class TestStdNormalQuantile:
@@ -162,10 +163,19 @@ class TestElementwise:
         return roots
 
     def test_cdf_array_has_scalar_bits(self):
+        # the bits of the scalar formula 0.5 * erfc(-x / sqrt 2), whatever
+        # the input's shape; a float (or 0-d array) gives a float
         x = np.concatenate([np.linspace(-9.0, 9.0, 201), [0.0, -0.0, 1e-300, -40.0]])
-        assert [v.hex() for v in std_normal_cdf_array(x).tolist()] == [
-            std_normal_cdf(v).hex() for v in x.tolist()
-        ]
+        want = [(0.5 * math.erfc(-v / math.sqrt(2.0))).hex() for v in x.tolist()]
+        assert [v.hex() for v in std_normal_cdf(x).tolist()] == want
+        grid = std_normal_cdf(x[:204].reshape(12, 17))
+        assert grid.shape == (12, 17)
+        assert [v.hex() for v in grid.ravel().tolist()] == want[:204]
+        for v, bits in zip(x.tolist(), want):
+            for scalar in (v, np.float64(v), np.array(v)):
+                got = std_normal_cdf(scalar)
+                assert type(got) is float and got.hex() == bits
+        assert std_normal_cdf(np.empty((0, 3))).shape == (0, 3)
 
     def test_exact_zero_exits_per_element(self):
         # roots at the bracket ends and at dyadic midpoints hit f == 0
